@@ -45,7 +45,6 @@ from .errors import (
     RayTermination,
     SchemaError,
 )
-from .kernels import DEFAULT_BACKEND, available_backends, get_kernel
 from .lcp import LcpProblem, LcpSolution, ValidationReport, assemble_w, validate
 from .lemke import LemkeOptions, lemke_solve
 from .oracle import (
@@ -79,8 +78,6 @@ __all__ = [
     # beam
     "BeamConfig", "Stabilizer", "PointLoad", "influence", "flexibility_matrix",
     "load_vector", "to_contact_lcp",
-    # kernels
-    "DEFAULT_BACKEND", "available_backends", "get_kernel",
     # errors
     "LcpError", "DimensionMismatch", "NotSymmetric", "NotPositiveDefinite",
     "RayTermination", "PivotLimitExceeded", "NumericalBreakdown",

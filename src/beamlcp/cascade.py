@@ -134,8 +134,6 @@ def cascade_stages(p: CascadeProblem, options: PgsOptions | None = None) -> list
         for j, ktilde in blk.couplings:
             shift += matvec(ktilde, net_forces[j])
         gap_sum = blk.q1 + blk.q2
-        if np.any(gap_sum <= 0.0):
-            raise InvariantViolation("block gap sum q1 + q2 must be strictly positive")
         q_hat1 = blk.q1 + shift
         q_hat2 = gap_sum - q_hat1
         contact = ContactLcp(

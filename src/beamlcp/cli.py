@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: solve, verify, enumerate, gen, bench.  Exit codes are part of
+Subcommands: solve, verify, enumerate, gen.  Exit codes are part of
 the interface:
 
     0  solved / unique
@@ -16,7 +16,6 @@ additionally requests a uniqueness certificate from the enumeration oracle.
 from __future__ import annotations
 
 import json
-import statistics
 import sys
 import time
 
@@ -56,22 +55,21 @@ def cli():
 
 
 def _structure(pf: fileio.ProblemFile):
-    """Assembled LCP plus block structure: (lcp, block_sizes, gap_sums).
+    """Solver input, assembled LCP and block structure: (problem, lcp, block_sizes, gap_sums).
 
-    block_sizes/gap_sums are None for general problems; gap_sums holds the
-    per-index value of gamma_l + gamma_u (i.e. 2 y*) in block order.
+    problem is the file's problem, with a beam converted (once) to its
+    ContactLcp.  block_sizes/gap_sums are None for general problems; gap_sums
+    holds the per-index value of gamma_l + gamma_u (i.e. 2 y*) in block order.
     """
     if pf.kind == "general":
-        return pf.problem, None, None
-    if pf.kind == "contact":
-        c = pf.problem
-        return assemble(c), [c.n], 2.0 * c.y_star
-    if pf.kind == "beam":
-        c = to_contact_lcp(pf.problem)
-        return assemble(c), [c.n], 2.0 * c.y_star
+        return pf.problem, pf.problem, None, None
+    if pf.kind in ("contact", "beam"):
+        c = pf.problem if pf.kind == "contact" else to_contact_lcp(pf.problem)
+        return c, assemble(c), [c.n], 2.0 * c.y_star
     if pf.kind == "cascade":
         p = pf.problem
         return (
+            p,
             assemble_full(p),
             [blk.n for blk in p.blocks],
             np.concatenate([blk.q1 + blk.q2 for blk in p.blocks]),
@@ -122,7 +120,7 @@ def cmd_solve(input_path, output_path, solver, tol, cap) -> int:
     """Solve a problem file and write a report."""
     try:
         pf = fileio.load_problem(input_path)
-        lcp, sizes, _ = _structure(pf)
+        problem, lcp, sizes, _ = _structure(pf)
     except SchemaError as exc:
         return _fail(exc, EXIT_USAGE)
 
@@ -136,10 +134,9 @@ def cmd_solve(input_path, output_path, solver, tol, cap) -> int:
         if solver == "lemke":
             sol = lemke_solve(lcp)
         elif solver == "pgs":
-            c = pf.problem if pf.kind == "contact" else to_contact_lcp(pf.problem)
-            sol = solve_structured(c).as_lcp_solution()
+            sol = solve_structured(problem).as_lcp_solution()
         else:
-            sol = as_lcp_solution(pf.problem, solve_cascade(pf.problem))
+            sol = as_lcp_solution(problem, solve_cascade(problem))
         wall = time.perf_counter() - start
     except _SOLVER_FAILURES as exc:
         return _fail(exc, EXIT_NONE)
@@ -193,7 +190,7 @@ def cmd_verify(input_path, solution_path, tol) -> int:
     """Re-validate a stored solution against its problem."""
     try:
         pf = fileio.load_problem(input_path)
-        lcp, sizes, gap_sums = _structure(pf)
+        _, lcp, sizes, gap_sums = _structure(pf)
         with open(solution_path, encoding="utf-8") as fh:
             doc = fileio.parse_report(fh.read())
         z = np.asarray(doc["z"], dtype=np.float64)
@@ -246,7 +243,7 @@ def cmd_enumerate(input_path, tol, cap) -> int:
     """Enumerate all solutions by complementary support and classify uniqueness."""
     try:
         pf = fileio.load_problem(input_path)
-        lcp, _, _ = _structure(pf)
+        _, lcp, _, _ = _structure(pf)
         cert = certify_unique(lcp, tol=tol, cap=cap)
     except (SchemaError, DimensionTooLarge) as exc:
         return _fail(exc, EXIT_USAGE)
@@ -289,48 +286,6 @@ def cmd_gen(kind, n, t, seed, output_path) -> int:
             fh.write(text)
     else:
         click.echo(text, nl=False)
-    return EXIT_SOLVED
-
-
-@cli.command("bench")
-@click.option(
-    "--n",
-    "sizes_arg",
-    default="10,50",
-    show_default=True,
-    help="Comma-separated problem sizes.",
-)
-@click.option("--t", "reps", type=click.IntRange(min=1), default=5, show_default=True,
-              help="Repetitions per measurement.")
-@click.option("--seed", type=int, default=0, show_default=True)
-def cmd_bench(sizes_arg, reps, seed) -> int:
-    """Time both solvers on generated contact instances; CSV on stdout."""
-    try:
-        sizes = [int(tok) for tok in sizes_arg.split(",") if tok.strip()]
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError
-    except ValueError:
-        raise click.UsageError(f"--n must be comma-separated positive integers, got {sizes_arg!r}")
-
-    from .generate import gen_contact
-
-    rng = np.random.default_rng(seed)
-    click.echo("kind,n,solver,median_wall_time,iterations")
-    for n in sizes:
-        c = gen_contact(n, rng)
-        lcp = assemble(c)
-        for tag in ("lemke", "pgs"):
-            times = []
-            iterations = 0
-            for _ in range(reps):
-                start = time.perf_counter()
-                if tag == "lemke":
-                    sol = lemke_solve(lcp)
-                    iterations = sol.iterations
-                else:
-                    iterations = solve_structured(c).sweeps
-                times.append(time.perf_counter() - start)
-            click.echo(f"contact,{n},{tag},{statistics.median(times):.6g},{iterations}")
     return EXIT_SOLVED
 
 

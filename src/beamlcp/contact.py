@@ -33,7 +33,6 @@ import numpy as np
 
 from .dense import as_matrix, as_vector, matvec, spd_factor, spd_solve
 from .errors import DimensionMismatch, InvariantViolation, MaxIterationsExceeded
-from .kernels import get_kernel
 from .lcp import LcpProblem, LcpSolution, assemble_w
 
 __all__ = [
@@ -114,13 +113,11 @@ class PgsOptions:
 
     Convergence is declared when the optimality residual drops below
     ``tol_scale * (1 + ||q_tilde + y_star||_inf)``; the sweep budget is
-    ``max_sweeps_per_dim * n``.  ``backend`` picks the sweep kernel
-    (auto / cython / python).
+    ``max_sweeps_per_dim * n``.
     """
 
     tol_scale: float = 1e-12
     max_sweeps_per_dim: int = 200
-    backend: str = "auto"
 
 
 def assemble(c: ContactLcp) -> LcpProblem:
@@ -166,6 +163,47 @@ def feasible_point(c: ContactLcp) -> LcpSolution:
     return LcpSolution(z, w, float(z @ w), "feasible-point", 0)
 
 
+def _sweep(K, c, two_y, tol: float, max_sweeps: int) -> tuple[np.ndarray, int, float]:
+    """Run Gauss-Seidel sweeps on d from d = 0; return (d, sweeps, residual).
+
+    Each coordinate step minimizes f exactly in d_i.  The residual is the
+    largest distance of 0 from a coordinate's subdifferential of f: |g_i| where
+    d_i > 0, |g_i - 2 y*_i| where d_i < 0, and the distance to the interval
+    [g_i - 2 y*_i, g_i] where d_i = 0, with g = K d + c.
+    """
+    n = c.shape[0]
+    d = np.zeros(n)
+    diag = K.diagonal()
+    sweep = 0
+    residual = np.inf
+    while sweep < max_sweeps:
+        for i in range(n):
+            r = c[i] + float(K[i] @ d) - diag[i] * d[i]
+            cand = -r / diag[i]
+            if cand > 0.0:
+                d[i] = cand
+            else:
+                cand = (two_y[i] - r) / diag[i]
+                d[i] = cand if cand < 0.0 else 0.0
+        sweep += 1
+
+        g = K @ d + c
+        dist = np.empty(n)
+        pos = d > 0.0
+        neg = d < 0.0
+        zero = ~(pos | neg)
+        dist[pos] = np.abs(g[pos])
+        dist[neg] = np.abs(g[neg] - two_y[neg])
+        lo = g[zero] - two_y[zero]
+        hi = g[zero]
+        dist[zero] = np.where(lo > 0.0, lo, np.where(hi < 0.0, -hi, 0.0))
+        residual = float(dist.max())
+        if residual <= tol:
+            break
+
+    return d, sweep, residual
+
+
 def solve_structured(c: ContactLcp, options: PgsOptions | None = None) -> ContactSolution:
     """Solve the contact LCP via coordinatewise minimization over d.
 
@@ -174,20 +212,16 @@ def solve_structured(c: ContactLcp, options: PgsOptions | None = None) -> Contac
             budget; the exception carries the last iterate.
     """
     opts = options or PgsOptions()
-    n = c.n
-    cvec = np.ascontiguousarray(c.q_tilde + c.y_star)
-    two_y = np.ascontiguousarray(2.0 * c.y_star)
-    d = np.zeros(n)
+    cvec = c.q_tilde + c.y_star
     tol = opts.tol_scale * (1.0 + float(np.abs(cvec).max()))
-    max_sweeps = opts.max_sweeps_per_dim * n
+    max_sweeps = opts.max_sweeps_per_dim * c.n
 
-    kernel = get_kernel(opts.backend)
-    sweeps, residual = kernel.pgs_run(c.K, cvec, two_y, d, tol, max_sweeps)
+    d, sweeps, residual = _sweep(c.K, cvec, 2.0 * c.y_star, tol, max_sweeps)
     if residual > tol:
         raise MaxIterationsExceeded(
             f"residual {residual:.3e} above tolerance {tol:.3e} after {sweeps} sweeps",
             last_d=d,
-            residual=float(residual),
+            residual=residual,
         )
 
     F_l, F_u = split_signed(d)

@@ -25,14 +25,11 @@ __all__ = ["LemkeOptions", "lemke_solve"]
 class LemkeOptions:
     """Pivoting controls.
 
-    max_pivots defaults to 10 * n**2 when left as None.  The plain
-    minimum-ratio rule (lexicographic=False) is retained for experiments; the
-    lexicographic rule is the one with an anti-cycling argument behind it.
+    max_pivots defaults to 10 * n**2 when left as None.
     """
 
     max_pivots: int | None = None
     zero_tol: float = 1e-10
-    lexicographic: bool = True
 
 
 def _lex_argmin(T, cand, col, n, eps_scale):
@@ -103,7 +100,7 @@ def lemke_solve(problem: LcpProblem, options: LemkeOptions | None = None) -> Lcp
     # lexicographically positive.
     qmin = q.min()
     tied = np.flatnonzero(q <= qmin + zero_tol * (1.0 + abs(qmin)))
-    r = int(tied.max()) if opts.lexicographic else int(tied.min())
+    r = int(tied.max())
     leaving = basis[r]
     pivot(r, z0_col)
     basis[r] = z0_col
@@ -135,10 +132,8 @@ def lemke_solve(problem: LcpProblem, options: LemkeOptions | None = None) -> Lcp
         z0_row = basis.index(z0_col)
         if column[z0_row] > zero_tol and T[z0_row, rhs_col] / column[z0_row] <= theta + tie_eps:
             r = z0_row
-        elif opts.lexicographic:
-            r = _lex_argmin(T, cand, col, n, zero_tol)
         else:
-            r = int(cand[ratios <= theta + tie_eps][0])
+            r = _lex_argmin(T, cand, col, n, zero_tol)
 
         leaving = basis[r]
         pivot(r, col)

@@ -218,20 +218,30 @@ def test_gen_rejects_unknown_kind(tmp_path):
     assert main(["gen", "--kind", "mesh", "--output", str(tmp_path / "x.json")]) == 1
 
 
-def test_bench_emits_csv(capsys):
-    code = main(["bench", "--n", "4,6", "--t", "2"])
-    text = capsys.readouterr().out
-    assert code == 0
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    assert lines[0] == "kind,n,solver,median_wall_time,iterations"
-    rows = [ln.split(",") for ln in lines[1:]]
-    assert len(rows) == 4
-    assert {r[2] for r in rows} == {"lemke", "pgs"}
-    assert {r[1] for r in rows} == {"4", "6"}
-    for r in rows:
-        assert float(r[3]) >= 0.0
-        assert int(r[4]) >= 0
-
-
 def test_no_arguments_shows_usage():
     assert main([]) in (0, 1)
+
+
+def test_solve_pgs_builds_the_beam_once(tmp_path, monkeypatch):
+    import beamlcp.cli
+    from beamlcp import BeamConfig, PointLoad, Stabilizer
+
+    cfg = BeamConfig(
+        length=10.0,
+        ei=1.0,
+        stabilizers=(Stabilizer(3.0, 0.5), Stabilizer(7.0, 0.5)),
+        loads=(PointLoad(5.0, -1.0),),
+    )
+    path = write_problem(tmp_path, "beam", "beam.json", problem=cfg)
+    calls = []
+    original = beamlcp.cli.to_contact_lcp
+
+    def counting(beam):
+        calls.append(beam)
+        return original(beam)
+
+    monkeypatch.setattr(beamlcp.cli, "to_contact_lcp", counting)
+    out = tmp_path / "report.json"
+    assert main(["solve", "--input", str(path), "--solver", "pgs", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["solver_tag"] == "pgs"
+    assert len(calls) == 1

@@ -180,15 +180,24 @@ def test_solve_structured_unique_certificate(rng):
 
 
 def test_solve_structured_sweep_limit(contact_2d):
+    opts = PgsOptions(max_sweeps_per_dim=1, tol_scale=1e-16)
     with pytest.raises(MaxIterationsExceeded) as exc_info:
-        solve_structured(contact_2d, PgsOptions(max_sweeps_per_dim=1, tol_scale=1e-16))
-    assert exc_info.value.last_d is not None
-    assert exc_info.value.residual is not None
+        solve_structured(contact_2d, opts)
+    exc = exc_info.value
+    assert exc.last_d is not None
+    assert exc.residual is not None
 
-
-def test_solve_structured_rejects_unknown_backend(contact_1d):
-    with pytest.raises(ValueError):
-        solve_structured(contact_1d, PgsOptions(backend="fortran"))
+    # The residual is the distance of 0 from the subdifferential [lo, hi] of
+    # f(d) = 0.5 d'Kd + c'd + sum 2 y* max(-d, 0) at the last iterate.
+    c = contact_2d.q_tilde + contact_2d.y_star
+    two_y = 2.0 * contact_2d.y_star
+    d = np.asarray(exc.last_d)
+    g = contact_2d.K @ d + c
+    lo = np.where(d > 0.0, g, g - two_y)
+    hi = np.where(d < 0.0, g - two_y, g)
+    dist = np.maximum(np.maximum(lo, -hi), 0.0).max()
+    assert dist == pytest.approx(exc.residual, rel=1e-12, abs=1e-15)
+    assert exc.residual > opts.tol_scale * (1.0 + np.abs(c).max())
 
 
 def test_as_lcp_solution_round_trip(contact_2d):

@@ -70,12 +70,6 @@ def test_pivot_limit(contact_1d):
         lemke_solve(assemble(contact_1d), LemkeOptions(max_pivots=1))
 
 
-def test_plain_ratio_rule_also_solves(contact_2d):
-    p = assemble(contact_2d)
-    sol = lemke_solve(p, LemkeOptions(lexicographic=False))
-    assert validate(p, sol.z, tol=1e-9).solved
-
-
 def test_random_structured_problems_solve(rng):
     for _ in range(200):
         n = int(rng.integers(1, 7))
