@@ -3,7 +3,7 @@
 A beam (or any linearly elastic structure) held between two rigid walls by
 stabilizers gives a linear complementarity problem with the block structure
 M = [[K, -K], [-K, K]].  This package provides the general complementary
-pivoting solver, a structure-exploiting Gauss-Seidel solver, a sequential
+pivoting solver, a structure-exploiting exact active-set solver, a sequential
 solver for coupled cascades of such problems, a brute-force enumeration
 oracle for certification, a beam-specific model builder, and a CLI.
 """

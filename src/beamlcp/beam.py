@@ -112,27 +112,29 @@ def influence(x: float, a: float, length: float, ei: float) -> float:
     return b * x * (length * length - b * b - x * x) / (6.0 * length * ei)
 
 
+def _influence_table(xs: np.ndarray, a: np.ndarray, length: float, ei: float) -> np.ndarray:
+    """influence(xs[i], a[j]) for all i, j, with the scalar formula's operation order."""
+    x = np.minimum.outer(xs, a)
+    b = length - np.maximum.outer(xs, a)
+    return b * x * (length * length - b * b - x * x) / (6.0 * length * ei)
+
+
+def _positions(items) -> np.ndarray:
+    return np.array([item.position for item in items], dtype=np.float64)
+
+
 def flexibility_matrix(cfg: BeamConfig) -> np.ndarray:
     """Influence matrix at the stabilizer positions; symmetric by construction."""
-    xs = [s.position for s in cfg.stabilizers]
-    n = len(xs)
-    K = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            v = influence(xs[i], xs[j], cfg.length, cfg.ei)
-            K[i, j] = v
-            K[j, i] = v
-    return as_matrix(K, "flexibility matrix")
+    xs = _positions(cfg.stabilizers)
+    return as_matrix(_influence_table(xs, xs, cfg.length, cfg.ei), "flexibility matrix")
 
 
 def load_vector(cfg: BeamConfig) -> np.ndarray:
     """Unconstrained deflection at the stabilizer positions under all loads."""
+    table = _influence_table(_positions(cfg.stabilizers), _positions(cfg.loads), cfg.length, cfg.ei)
     q = np.zeros(cfg.n)
-    for i, s in enumerate(cfg.stabilizers):
-        acc = 0.0
-        for p in cfg.loads:
-            acc += p.magnitude * influence(s.position, p.position, cfg.length, cfg.ei)
-        q[i] = acc
+    for j, p in enumerate(cfg.loads):
+        q += p.magnitude * table[:, j]
     return as_vector(q, "load vector")
 
 

@@ -36,7 +36,7 @@ class NumericalBreakdown(LcpError):
 
 
 class MaxIterationsExceeded(LcpError):
-    """Sweep limit reached before the optimality residual converged.
+    """Iteration limit reached before the optimality residual converged.
 
     Attributes:
         last_d: the final iterate of the signed net-force vector.

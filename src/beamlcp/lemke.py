@@ -6,7 +6,10 @@ identity and therefore always carries the inverse of the current basis, which
 is exactly what the lexicographic ratio test needs: rows are compared via the
 augmented vector ``[rhs, w-block] / pivot_entry``.
 
-M is used as given; nothing here assumes symmetry or definiteness.
+Nothing here assumes symmetry or definiteness of M.  The pivots run on M
+divided by a power of two that brings its largest entry into [0.5, 1), so the
+absolute ``zero_tol`` means the same at every unit scale of M; the division
+is exact, and z is scaled back the same way.
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ def lemke_solve(problem: LcpProblem, options: LemkeOptions | None = None) -> Lcp
     rhs_col = 2 * n + 1
     T = np.zeros((n, 2 * n + 2))
     T[:, :n] = np.eye(n)
-    T[:, n : 2 * n] = -problem.M
+    scale = np.ldexp(1.0, int(np.frexp(np.abs(problem.M).max())[1]))
+    T[:, n : 2 * n] = -problem.M / scale
     T[:, z0_col] = -1.0
     T[:, rhs_col] = q
     basis = list(range(n))  # variable ids: 0..n-1 w, n..2n-1 z, 2n is z0
@@ -147,6 +151,6 @@ def lemke_solve(problem: LcpProblem, options: LemkeOptions | None = None) -> Lcp
     z = np.zeros(n)
     for row, var in enumerate(basis):
         if n <= var < 2 * n:
-            z[var - n] = T[row, rhs_col]
+            z[var - n] = T[row, rhs_col] / scale
     w = assemble_w(problem, z)
     return LcpSolution(z, w, float(z @ w), "lemke", pivots)

@@ -7,7 +7,7 @@ singular support carries a whole affine family of candidates, and feasible
 representatives of that family are genuine solutions (M z is constant along
 the family, so w is shared by all members).
 
-Nothing here is shared with the pivoting or sweep solvers.
+Nothing here is shared with the pivoting or active-set solvers.
 """
 
 from __future__ import annotations

@@ -131,13 +131,12 @@ def test_criterion_4_uniqueness_and_degeneracy(degenerate_2d):
             failures.append(f"trial {trial}: verdict {cert.verdict}")
             continue
         pivot = lemke_solve(p)
-        sweep = solve_structured(c)
-        z_sweep = _stack(sweep)
-        if np.max(np.abs(pivot.z - z_sweep)) > 1e-7:
+        z_structured = _stack(solve_structured(c))
+        if np.max(np.abs(pivot.z - z_structured)) > 1e-7:
             failures.append(f"trial {trial}: solvers disagree beyond 1e-7")
         if np.max(np.abs(pivot.z - cert.z)) > 1e-7:
             failures.append(f"trial {trial}: solver disagrees with oracle beyond 1e-7")
-        _HARVESTED.append((c, z_sweep))
+        _HARVESTED.append((c, z_structured))
     cert = certify_unique(degenerate_2d, tol=1e-9)
     if cert.verdict is not Verdict.MULTIPLE:
         failures.append("degenerate fixture not reported as multiple")
@@ -268,7 +267,7 @@ def test_criterion_7_reference_fixtures_agree(contact_1d, contact_1d_resting, co
         p = assemble(c)
         for label, z in (
             ("pivot", lemke_solve(p).z),
-            ("sweep", _stack(solve_structured(c))),
+            ("structured", _stack(solve_structured(c))),
             ("oracle", certify_unique(p, tol=1e-9).z),
         ):
             if z is None or np.max(np.abs(z - z_ref)) > 1e-9:

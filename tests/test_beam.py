@@ -9,6 +9,8 @@ three nodes per smooth piece integrates it exactly up to rounding.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,10 +28,12 @@ from beamlcp import (
     certify_unique,
     flexibility_matrix,
     influence,
+    lemke_solve,
     load_vector,
     solve_structured,
     spd_factor,
     to_contact_lcp,
+    validate,
 )
 from beamlcp.generate import gen_beam
 
@@ -194,6 +198,66 @@ def test_generated_beams_are_well_posed_and_unique(rng):
         c = to_contact_lcp(cfg)
         res = certify_unique(assemble(c), tol=1e-9)
         assert res.verdict is Verdict.UNIQUE
-        sweep = solve_structured(c)
-        z = np.concatenate([sweep.F_l, sweep.F_u])
+        sol = solve_structured(c)
+        z = np.concatenate([sol.F_l, sol.F_u])
         assert np.max(np.abs(z - res.z)) <= 1e-7
+
+
+def test_tables_match_the_scalar_influence(rng):
+    for _ in range(50):
+        cfg = gen_beam(int(rng.integers(1, 30)), rng)
+        xs = [s.position for s in cfg.stabilizers]
+        k = np.array([[influence(x, a, cfg.length, cfg.ei) for a in xs] for x in xs])
+        q = np.zeros(cfg.n)
+        for i, x in enumerate(xs):
+            acc = 0.0
+            for p in cfg.loads:
+                acc += p.magnitude * influence(x, p.position, cfg.length, cfg.ei)
+            q[i] = acc
+        assert np.array_equal(flexibility_matrix(cfg), k)
+        assert np.array_equal(load_vector(cfg), q)
+
+
+def test_gen_beam_is_quick_and_keeps_stabilizers_apart():
+    for n, seed in ((20, 0), (1000, 0), (1000, 1)):
+        start = time.perf_counter()
+        cfg = gen_beam(n, np.random.default_rng(seed))
+        assert time.perf_counter() - start < 1.0
+        xs = np.array([s.position for s in cfg.stabilizers])
+        assert xs.size == n
+        assert np.diff(xs).min() > 0.45 * cfg.length / n
+        assert 0.0 < xs[0] and xs[-1] < cfg.length
+
+
+def paper_beam(n: int, ei: float) -> BeamConfig:
+    """n evenly spaced stabilizers with gap 0.05 and loads at the quarter spans.
+
+    The loads are scaled by ei, so every ei describes the same deflections.
+    """
+    length = 10.0
+    stabilizers = [(length * (i + 1) / (n + 1), 0.05) for i in range(n)]
+    loads = [(0.25 * length, 4.0 * ei), (0.5 * length, -4.0 * ei), (0.75 * length, 4.0 * ei)]
+    return BeamConfig(length, ei, stabilizers, loads)
+
+
+@pytest.mark.parametrize("n", [10, 40, 80])
+def test_paper_beams_solve_at_every_unit_scale(n):
+    solves = set()
+    for ei in (1.0, 2e7, 2e11):
+        c = to_contact_lcp(paper_beam(n, ei))
+        sol = solve_structured(c)
+        assert sol.F_l.any() and sol.F_u.any()  # both walls carry load
+        p = assemble(c)
+        pivot = lemke_solve(p)
+        assert validate(p, pivot.z, tol=1e-8 * (1.0 + np.abs(p.q).max())).solved
+        z = np.concatenate([sol.F_l, sol.F_u])
+        assert np.max(np.abs(z - pivot.z)) <= 1e-9 * np.abs(pivot.z).max()
+        solves.add(sol.sweeps)
+    assert len(solves) == 1
+
+
+def test_thousand_stabilizer_beam_builds_and_solves_within_a_second():
+    start = time.perf_counter()
+    sol = solve_structured(to_contact_lcp(paper_beam(1000, 2e7)))
+    assert time.perf_counter() - start < 1.0
+    assert sol.F_l.any() and sol.F_u.any()

@@ -1,4 +1,4 @@
-"""Tests for the two-sided contact formulation and the projected sweep solver."""
+"""Tests for the two-sided contact formulation and the active-set solver."""
 
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from beamlcp import (
     validate,
     Verdict,
 )
+from beamlcp import contact
 from beamlcp.generate import gen_contact
 
 
@@ -154,9 +155,9 @@ def test_solve_structured_matches_pivot_solver(rng):
         n = int(rng.integers(1, 7))
         c = gen_contact(n, rng)
         pivot = lemke_solve(assemble(c))
-        sweep = solve_structured(c)
-        z_sweep = np.concatenate([sweep.F_l, sweep.F_u])
-        assert np.max(np.abs(z_sweep - pivot.z)) <= 1e-7
+        sol = solve_structured(c)
+        z = np.concatenate([sol.F_l, sol.F_u])
+        assert np.max(np.abs(z - pivot.z)) <= 1e-7
 
 
 def test_solve_structured_solution_validates(contact_2d):
@@ -174,30 +175,44 @@ def test_solve_structured_unique_certificate(rng):
         c = gen_contact(int(rng.integers(1, 4)), rng)
         res = certify_unique(assemble(c), tol=1e-9)
         assert res.verdict is Verdict.UNIQUE
-        sweep = solve_structured(c)
-        z = np.concatenate([sweep.F_l, sweep.F_u])
+        sol = solve_structured(c)
+        z = np.concatenate([sol.F_l, sol.F_u])
         assert np.max(np.abs(z - res.z)) <= 1e-7
 
 
-def test_solve_structured_sweep_limit(contact_2d):
-    opts = PgsOptions(max_sweeps_per_dim=1, tol_scale=1e-16)
+def _needs_a_drop() -> ContactLcp:
+    """d = (30/17, -1/17); reached in 4 solves, one dropping d_1 before it flips sign."""
+    return ContactLcp(
+        np.array([[3.0, 5.0], [5.0, 14.0]]), np.array([-7.0, -7.0]), np.array([2.0, 1.0])
+    )
+
+
+def test_solve_structured_drops_and_flips_an_index():
+    sol = solve_structured(_needs_a_drop())
+    assert np.allclose(sol.d, [30.0 / 17.0, -1.0 / 17.0], rtol=0, atol=1e-14)
+    assert sol.sweeps == 4
+
+
+def test_solve_structured_solve_limit(monkeypatch):
+    c = _needs_a_drop()
+    monkeypatch.setattr(contact, "MAX_SOLVES_PER_DIM", 1)
     with pytest.raises(MaxIterationsExceeded) as exc_info:
-        solve_structured(contact_2d, opts)
+        solve_structured(c)
     exc = exc_info.value
     assert exc.last_d is not None
     assert exc.residual is not None
 
     # The residual is the distance of 0 from the subdifferential [lo, hi] of
     # f(d) = 0.5 d'Kd + c'd + sum 2 y* max(-d, 0) at the last iterate.
-    c = contact_2d.q_tilde + contact_2d.y_star
-    two_y = 2.0 * contact_2d.y_star
+    cvec = c.q_tilde + c.y_star
+    two_y = 2.0 * c.y_star
     d = np.asarray(exc.last_d)
-    g = contact_2d.K @ d + c
+    g = c.K @ d + cvec
     lo = np.where(d > 0.0, g, g - two_y)
     hi = np.where(d < 0.0, g - two_y, g)
     dist = np.maximum(np.maximum(lo, -hi), 0.0).max()
     assert dist == pytest.approx(exc.residual, rel=1e-12, abs=1e-15)
-    assert exc.residual > opts.tol_scale * (1.0 + np.abs(c).max())
+    assert exc.residual > PgsOptions().tol_scale * (1.0 + np.abs(cvec).max())
 
 
 def test_as_lcp_solution_round_trip(contact_2d):

@@ -97,3 +97,12 @@ def test_solution_w_is_reassembled(contact_1d):
     p = assemble(contact_1d)
     sol = lemke_solve(p)
     assert np.array_equal(sol.w, p.q + p.M @ sol.z)
+
+
+@pytest.mark.parametrize("k", [-40, -13, -1, 1, 7, 40])
+def test_power_of_two_scaling_of_m_scales_z_exactly(rng, k):
+    for _ in range(10):
+        p = assemble(gen_contact(int(rng.integers(1, 8)), rng))
+        z = lemke_solve(p).z
+        scaled = lemke_solve(LcpProblem(2.0**k * p.M, p.q)).z
+        assert np.array_equal(scaled, z / 2.0**k)
