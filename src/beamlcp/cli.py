@@ -168,7 +168,7 @@ def cmd_solve(input_path, output_path, solver, tol, cap) -> int:
             return _fail(exc, EXIT_USAGE)
         doc["uniqueness_verdict"] = cert.verdict.value
 
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc) + "\n"
     if output_path:
         with open(output_path, "w", encoding="utf-8") as fh:
             fh.write(text)

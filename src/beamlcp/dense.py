@@ -1,4 +1,4 @@
-"""Dense vector/matrix validation and SPD solve kernels.
+"""Dense vector/matrix validation and SPD solve kernels (NumPy only).
 
 Everything downstream funnels its array inputs through :func:`as_matrix` /
 :func:`as_vector`, so non-finite entries are rejected once, at construction.
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
 
@@ -92,15 +91,14 @@ def spd_factor(a) -> CholeskyFactor:
 
 
 def spd_solve(factor: CholeskyFactor, b) -> np.ndarray:
-    """Solve A x = b given the Cholesky factor of A."""
+    """Solve A x = b given the Cholesky factor of A: L y = b, then L.T x = y."""
     rhs = as_vector(b, "right-hand side")
     if rhs.shape[0] != factor.n:
         raise DimensionMismatch(
             f"factor is {factor.n}x{factor.n} but right-hand side has length {rhs.shape[0]}"
         )
-    y = scipy.linalg.solve_triangular(factor.L, rhs, lower=True)
-    x = scipy.linalg.solve_triangular(factor.L.T, y, lower=False)
-    return x
+    y = np.linalg.solve(factor.L, rhs)
+    return np.linalg.solve(factor.L.T, y)
 
 
 def matvec(a, x) -> np.ndarray:

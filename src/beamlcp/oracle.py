@@ -7,7 +7,10 @@ singular support carries a whole affine family of candidates, and feasible
 representatives of that family are genuine solutions (M z is constant along
 the family, so w is shared by all members).
 
-Nothing here is shared with the pivoting or active-set solvers.
+Nothing here is shared with the pivoting or active-set solvers.  Only a
+consistent singular support needs an LP, so SciPy's ``linprog`` is imported
+there and nowhere else: contact, beam and cascade problems (whose singular
+supports are all inconsistent) enumerate with NumPy alone.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import DimensionTooLarge
 from .lcp import LcpProblem, LcpSolution, assemble_w, validate
@@ -31,8 +32,8 @@ __all__ = [
     "certify_unique",
 ]
 
-#: Relative threshold on the smallest LU pivot below which a support
-#: submatrix is treated as singular.
+#: Relative threshold on the smallest singular value below which a support
+#: submatrix is treated as singular; also the rank cut-off of its null space.
 SINGULARITY_RTOL = 1e-10
 
 #: Relative residual threshold for declaring a singular system consistent.
@@ -68,11 +69,15 @@ class CertifyResult:
     enumeration: EnumerationResult
 
 
-def _smallest_pivot(mss: np.ndarray) -> float:
-    if mss.shape[0] == 1:
-        return abs(float(mss[0, 0]))
-    _, _, u = scipy.linalg.lu(mss)
-    return float(np.abs(np.diag(u)).min())
+def _smallest_singular_value(mss: np.ndarray) -> float:
+    return float(np.linalg.svd(mss, compute_uv=False)[-1])
+
+
+def _null_basis(mss: np.ndarray) -> np.ndarray:
+    """Orthonormal null-space basis (as columns): right singular vectors whose
+    singular values are at most ``SINGULARITY_RTOL`` times the largest."""
+    _, s, vt = np.linalg.svd(mss)
+    return vt[s <= SINGULARITY_RTOL * s[0]].T
 
 
 def _family_representatives(mss: np.ndarray, q_s: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -83,6 +88,8 @@ def _family_representatives(mss: np.ndarray, q_s: np.ndarray, tol: float) -> lis
     of the minimizer along each null-space direction.  Candidates may still be
     infeasible for the full problem; the caller validates them.
     """
+    import scipy.optimize
+
     k = mss.shape[0]
     lp_min = scipy.optimize.linprog(
         np.ones(k), A_eq=mss, b_eq=-q_s, bounds=[(0, None)] * k, method="highs"
@@ -95,7 +102,7 @@ def _family_representatives(mss: np.ndarray, q_s: np.ndarray, tol: float) -> lis
     )
     if lp_max.success:
         reps.append(np.asarray(lp_max.x, dtype=np.float64))
-    null = scipy.linalg.null_space(mss, rcond=SINGULARITY_RTOL)
+    null = _null_basis(mss)
     base = reps[0]
     step = 1.0 + float(np.abs(base).max(initial=0.0))
     for col in range(null.shape[1]):
@@ -144,7 +151,7 @@ def enumerate_solutions(
         mss = problem.M[np.ix_(s, s)]
         q_s = problem.q[s]
         scale = float(np.abs(mss).sum(axis=1).max())
-        if _smallest_pivot(mss) <= SINGULARITY_RTOL * scale:
+        if _smallest_singular_value(mss) <= SINGULARITY_RTOL * scale:
             z_ls, *_ = np.linalg.lstsq(mss, -q_s, rcond=None)
             residual = float(np.abs(mss @ z_ls + q_s).max(initial=0.0))
             consistent = residual <= CONSISTENCY_RTOL * (1.0 + float(np.abs(q_s).max()))

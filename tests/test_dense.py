@@ -14,10 +14,13 @@ from beamlcp import (
     NotSymmetric,
     as_matrix,
     as_vector,
+    assemble,
+    feasible_point,
     matvec,
     spd_factor,
     spd_solve,
 )
+from beamlcp.generate import gen_contact
 
 
 def test_factor_reference_matrix():
@@ -64,6 +67,32 @@ def test_solve_reference_system():
     fac = spd_factor(np.array([[2.0, 1.0], [1.0, 2.0]]))
     x = spd_solve(fac, np.array([1.0, 1.0]))
     assert np.allclose(x, [1.0 / 3.0, 1.0 / 3.0], rtol=0, atol=1e-14)
+
+
+def test_solve_matches_dense_solve_on_ill_conditioned_matrix():
+    # Q diag(s) Q' with s spread over 6.5 decades: cond(A) ~ 3e6.
+    gen = np.random.default_rng(50)
+    n = 50
+    q, _ = np.linalg.qr(gen.standard_normal((n, n)))
+    a = (q * np.logspace(0.0, -6.5, n)) @ q.T
+    a = 0.5 * (a + a.T)
+    cond = np.linalg.cond(a)
+    assert cond >= 1e6
+    b = gen.standard_normal(n)
+    x = spd_solve(spd_factor(a), b)
+    ref = np.linalg.solve(a, b)
+    # Backward error: the relative residual is at rounding level whatever cond(A) is.
+    assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(a, 2) * np.linalg.norm(x)
+    # Forward error: two backward-stable solves differ by O(cond(A) * eps) relative.
+    assert np.linalg.norm(x - ref) <= 1e-14 * cond * np.linalg.norm(ref)
+
+
+def test_feasible_point_zeroes_the_lower_gap_at_n40():
+    c = gen_contact(40, np.random.default_rng(40))
+    sol = feasible_point(c)
+    q = assemble(c).q
+    assert np.abs(sol.w[:40]).max() <= 1e-10 * (1.0 + np.abs(q).max())
+    assert sol.z.min() >= 0.0
 
 
 def test_solve_rejects_wrong_length():
