@@ -46,7 +46,7 @@ from .errors import (
     SchemaError,
 )
 from .lcp import LcpProblem, LcpSolution, ValidationReport, assemble_w, validate
-from .lemke import LemkeOptions, lemke_solve
+from .lemke import lemke_solve
 from .oracle import (
     CertifyResult,
     EnumerationResult,
@@ -65,7 +65,7 @@ __all__ = [
     # lcp
     "LcpProblem", "LcpSolution", "ValidationReport", "assemble_w", "validate",
     # lemke
-    "LemkeOptions", "lemke_solve",
+    "lemke_solve",
     # contact
     "ContactLcp", "ContactSolution", "PgsOptions", "assemble", "feasible_point",
     "gaps", "split_signed", "solve_structured", "force_complementarity",

@@ -20,7 +20,7 @@ import numpy as np
 from .contact import ContactLcp, ContactSolution, PgsOptions, solve_structured
 from .dense import as_matrix, as_vector, matvec
 from .errors import DimensionMismatch, InvariantViolation
-from .lcp import LcpProblem, LcpSolution, assemble_w
+from .lcp import LcpProblem, LcpSolution
 
 __all__ = [
     "CascadeBlock",
@@ -176,10 +176,10 @@ def assemble_full(p: CascadeProblem) -> LcpProblem:
 
 
 def as_lcp_solution(p: CascadeProblem, solutions: list[ContactSolution]) -> LcpSolution:
-    """Stack block solutions into a full-problem candidate, with w recomputed."""
+    """Stack block solutions into a full-problem candidate; each block's gaps are its w."""
     if len(solutions) != p.t:
         raise DimensionMismatch(f"expected {p.t} block solutions, got {len(solutions)}")
-    z = np.concatenate([np.concatenate([s.F_l, s.F_u]) for s in solutions])
-    w = assemble_w(assemble_full(p), z)
-    sweeps = sum(s.sweeps for s in solutions)
-    return LcpSolution(z, w, float(z @ w), "cascade", sweeps)
+    blocks = [s.as_lcp_solution() for s in solutions]
+    z = np.concatenate([b.z for b in blocks])
+    w = np.concatenate([b.w for b in blocks])
+    return LcpSolution(z, w, float(z @ w), "cascade", sum(b.iterations for b in blocks))

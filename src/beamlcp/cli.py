@@ -77,24 +77,37 @@ def _structure(pf: fileio.ProblemFile):
     raise SchemaError(f"unknown kind {pf.kind!r}", field="kind")
 
 
-def _contact_section(z: np.ndarray, w: np.ndarray, sizes: list[int]) -> dict:
-    """Canonical per-block force split and gap vectors for the report."""
-    f_l, f_u, g_l, g_u = [], [], [], []
+def _tolerance(tol: float | None, lcp) -> float:
+    """--tol if given, else the default of every command: 1e-8 * (1 + max|q|)."""
+    return tol if tol is not None else 1e-8 * (1.0 + float(np.abs(lcp.q).max()))
+
+
+_TOL_OPTION = click.option(
+    "--tol", type=float, default=None, help="Tolerance [default: 1e-8 * (1 + max|q|)]."
+)
+
+
+def _halves(v: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Lower-wall and upper-wall halves of a block-stacked z or w, each over all blocks."""
+    lower, upper = [], []
     offset = 0
     for n in sizes:
-        z1 = z[offset : offset + n]
-        z2 = z[offset + n : offset + 2 * n]
-        lo, up = split_signed(z1 - z2)
-        f_l.append(lo)
-        f_u.append(up)
-        g_l.append(w[offset : offset + n])
-        g_u.append(w[offset + n : offset + 2 * n])
+        lower.append(v[offset : offset + n])
+        upper.append(v[offset + n : offset + 2 * n])
         offset += 2 * n
+    return np.concatenate(lower), np.concatenate(upper)
+
+
+def _contact_section(z: np.ndarray, w: np.ndarray, sizes: list[int]) -> dict:
+    """Canonical per-block force split and gap vectors for the report."""
+    z1, z2 = _halves(z, sizes)
+    f_l, f_u = split_signed(z1 - z2)
+    g_l, g_u = _halves(w, sizes)
     return {
-        "F_l": np.concatenate(f_l).tolist(),
-        "F_u": np.concatenate(f_u).tolist(),
-        "gamma_l": np.concatenate(g_l).tolist(),
-        "gamma_u": np.concatenate(g_u).tolist(),
+        "F_l": f_l.tolist(),
+        "F_u": f_u.tolist(),
+        "gamma_l": g_l.tolist(),
+        "gamma_u": g_u.tolist(),
     }
 
 
@@ -112,7 +125,7 @@ def _fail(exc: Exception, code: int) -> int:
     default="lemke",
     show_default=True,
 )
-@click.option("--tol", type=float, default=None, help="Validation tolerance.")
+@_TOL_OPTION
 @click.option(
     "--cap", type=int, default=None, help="Request a uniqueness certificate (enumeration cap)."
 )
@@ -143,8 +156,8 @@ def cmd_solve(input_path, output_path, solver, tol, cap) -> int:
     except LcpError as exc:
         return _fail(exc, EXIT_USAGE)
 
-    tol_eff = tol if tol is not None else 1e-8 * (1.0 + float(np.abs(lcp.q).max()))
-    report = validate(lcp, sol.z, tol_eff)
+    tol = _tolerance(tol, lcp)
+    report = validate(lcp, sol.z, tol)
     doc = {
         "solver_tag": sol.solver_tag,
         "kind": pf.kind,
@@ -163,7 +176,7 @@ def cmd_solve(input_path, output_path, solver, tol, cap) -> int:
         doc["contact"] = _contact_section(sol.z, sol.w, sizes)
     if cap is not None:
         try:
-            cert = certify_unique(lcp, tol=tol if tol is not None else 1e-9, cap=cap)
+            cert = certify_unique(lcp, tol=tol, cap=cap)
         except DimensionTooLarge as exc:
             return _fail(exc, EXIT_USAGE)
         doc["uniqueness_verdict"] = cert.verdict.value
@@ -185,7 +198,7 @@ def cmd_solve(input_path, output_path, solver, tol, cap) -> int:
     required=True,
     help="Solution/report file to check (as written by solve).",
 )
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@_TOL_OPTION
 def cmd_verify(input_path, solution_path, tol) -> int:
     """Re-validate a stored solution against its problem."""
     try:
@@ -202,7 +215,7 @@ def cmd_verify(input_path, solution_path, tol) -> int:
     except (SchemaError, OSError) as exc:
         return _fail(exc, EXIT_USAGE)
 
-    report = validate(lcp, z, tol)
+    report = validate(lcp, z, _tolerance(tol, lcp))
     click.echo(f"feasible: {report.feasible}")
     click.echo(f"solved: {report.solved}")
     click.echo(f"min_z: {report.min_z:.6e}")
@@ -214,21 +227,10 @@ def cmd_verify(input_path, solution_path, tol) -> int:
         click.echo(f"degenerate indices: {list(report.degenerate_indices)}")
 
     if sizes is not None:
-        w = assemble_w(lcp, z)
-        force_prod = 0.0
-        gap_residual = 0.0
-        offset = 0
-        pos = 0
-        for n in sizes:
-            z1 = z[offset : offset + n]
-            z2 = z[offset + n : offset + 2 * n]
-            w1 = w[offset : offset + n]
-            w2 = w[offset + n : offset + 2 * n]
-            force_prod = max(force_prod, float((z1 * z2).max(initial=0.0)))
-            seg = gap_sums[pos : pos + n]
-            gap_residual = max(gap_residual, float(np.abs(w1 + w2 - seg).max(initial=0.0)))
-            offset += 2 * n
-            pos += n
+        z1, z2 = _halves(z, sizes)
+        w1, w2 = _halves(assemble_w(lcp, z), sizes)
+        force_prod = float((z1 * z2).max(initial=0.0))
+        gap_residual = float(np.abs(w1 + w2 - gap_sums).max(initial=0.0))
         click.echo(f"max F_l*F_u: {force_prod:.6e}")
         click.echo(f"gap-sum residual: {gap_residual:.6e}")
 
@@ -237,14 +239,14 @@ def cmd_verify(input_path, solution_path, tol) -> int:
 
 @cli.command("enumerate")
 @click.option("--input", "input_path", required=True, help="Problem file (JSON).")
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@_TOL_OPTION
 @click.option("--cap", type=int, default=14, show_default=True)
 def cmd_enumerate(input_path, tol, cap) -> int:
     """Enumerate all solutions by complementary support and classify uniqueness."""
     try:
         pf = fileio.load_problem(input_path)
         _, lcp, _, _ = _structure(pf)
-        cert = certify_unique(lcp, tol=tol, cap=cap)
+        cert = certify_unique(lcp, tol=_tolerance(tol, lcp), cap=cap)
     except (SchemaError, DimensionTooLarge) as exc:
         return _fail(exc, EXIT_USAGE)
 

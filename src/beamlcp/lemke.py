@@ -8,34 +8,28 @@ augmented vector ``[rhs, w-block] / pivot_entry``.
 
 Nothing here assumes symmetry or definiteness of M.  The pivots run on M
 divided by a power of two that brings its largest entry into [0.5, 1), so the
-absolute ``zero_tol`` means the same at every unit scale of M; the division
+absolute ``ZERO_TOL`` means the same at every unit scale of M; the division
 is exact, and z is scaled back the same way.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalBreakdown, PivotLimitExceeded, RayTermination
 from .lcp import LcpProblem, LcpSolution, assemble_w
 
-__all__ = ["LemkeOptions", "lemke_solve"]
+__all__ = ["lemke_solve"]
+
+#: Entries at most this large are not pivoted on, and ratios within it of the
+#: minimum count as ties.
+ZERO_TOL = 1e-10
+
+#: lemke_solve gives up after this many pivots per squared dimension.
+MAX_PIVOTS_PER_DIM_SQUARED = 10
 
 
-@dataclass(frozen=True)
-class LemkeOptions:
-    """Pivoting controls.
-
-    max_pivots defaults to 10 * n**2 when left as None.
-    """
-
-    max_pivots: int | None = None
-    zero_tol: float = 1e-10
-
-
-def _lex_argmin(T, cand, col, n, eps_scale):
+def _lex_argmin(T, cand, col, n):
     """Lexicographic minimum of [rhs, w-block]/pivot over candidate rows.
 
     Ties within a scaled epsilon survive to the next component; numerically
@@ -46,23 +40,23 @@ def _lex_argmin(T, cand, col, n, eps_scale):
     for c in (rhs_col, *range(n)):
         vals = T[cand, c] / T[cand, col]
         m = vals.min()
-        keep = vals <= m + eps_scale * (1.0 + abs(m))
+        keep = vals <= m + ZERO_TOL * (1.0 + abs(m))
         cand = cand[keep]
         if cand.size == 1:
             return int(cand[0])
     return int(cand[0])
 
 
-def lemke_solve(problem: LcpProblem, options: LemkeOptions | None = None) -> LcpSolution:
+def lemke_solve(problem: LcpProblem) -> LcpSolution:
     """Solve an LCP by complementary pivoting.
 
     Raises:
         RayTermination: the entering column had no positive entry (secondary ray).
-        PivotLimitExceeded: pivot budget exhausted.
+        PivotLimitExceeded: ``MAX_PIVOTS_PER_DIM_SQUARED * n**2`` pivots did
+            not end the run.
         NumericalBreakdown: only sub-tolerance pivots were available, or the
             ratio test could not be resolved.
     """
-    opts = options or LemkeOptions()
     n = problem.n
     q = problem.q
 
@@ -70,8 +64,7 @@ def lemke_solve(problem: LcpProblem, options: LemkeOptions | None = None) -> Lcp
         z = np.zeros(n)
         return LcpSolution(z, q.copy(), 0.0, "lemke", 0)
 
-    max_pivots = opts.max_pivots if opts.max_pivots is not None else 10 * n * n
-    zero_tol = opts.zero_tol
+    max_pivots = MAX_PIVOTS_PER_DIM_SQUARED * n * n
 
     # Columns: w block, z block, z0, rhs.
     z0_col = 2 * n
@@ -86,9 +79,9 @@ def lemke_solve(problem: LcpProblem, options: LemkeOptions | None = None) -> Lcp
 
     def pivot(r: int, col: int):
         piv = T[r, col]
-        if abs(piv) <= zero_tol:
+        if abs(piv) <= ZERO_TOL:
             raise NumericalBreakdown(
-                f"pivot magnitude {abs(piv):.3e} at row {r} below zero_tol {zero_tol:.1e}"
+                f"pivot magnitude {abs(piv):.3e} at row {r} below ZERO_TOL {ZERO_TOL:.1e}"
             )
         T[r] /= piv
         T[r, col] = 1.0
@@ -103,7 +96,7 @@ def lemke_solve(problem: LcpProblem, options: LemkeOptions | None = None) -> Lcp
     # lexicographic argmin of (q_i, e_i), which keeps every updated row
     # lexicographically positive.
     qmin = q.min()
-    tied = np.flatnonzero(q <= qmin + zero_tol * (1.0 + abs(qmin)))
+    tied = np.flatnonzero(q <= qmin + ZERO_TOL * (1.0 + abs(qmin)))
     r = int(tied.max())
     leaving = basis[r]
     pivot(r, z0_col)
@@ -117,7 +110,7 @@ def lemke_solve(problem: LcpProblem, options: LemkeOptions | None = None) -> Lcp
 
         col = entering
         column = T[:, col]
-        cand = np.flatnonzero(column > zero_tol)
+        cand = np.flatnonzero(column > ZERO_TOL)
         if cand.size == 0:
             if np.any(column > 0.0):
                 raise NumericalBreakdown(
@@ -129,15 +122,15 @@ def lemke_solve(problem: LcpProblem, options: LemkeOptions | None = None) -> Lcp
 
         ratios = T[cand, rhs_col] / column[cand]
         theta = ratios.min()
-        tie_eps = zero_tol * (1.0 + abs(theta))
+        tie_eps = ZERO_TOL * (1.0 + abs(theta))
 
         # Prefer retiring the artificial variable whenever its row attains the
         # minimum ratio: the run ends at a genuine solution.
         z0_row = basis.index(z0_col)
-        if column[z0_row] > zero_tol and T[z0_row, rhs_col] / column[z0_row] <= theta + tie_eps:
+        if column[z0_row] > ZERO_TOL and T[z0_row, rhs_col] / column[z0_row] <= theta + tie_eps:
             r = z0_row
         else:
-            r = _lex_argmin(T, cand, col, n, zero_tol)
+            r = _lex_argmin(T, cand, col, n)
 
         leaving = basis[r]
         pivot(r, col)

@@ -53,7 +53,6 @@ class EnumerationResult:
     solutions: tuple
     multiplicities: tuple
     singular_supports: tuple
-    exhaustive: bool
 
 
 class Verdict(enum.Enum):
@@ -166,15 +165,14 @@ def enumerate_solutions(
         z[s] = np.linalg.solve(mss, -q_s)
         consider(z)
 
-    solutions = tuple(
-        LcpSolution(z, assemble_w(problem, z), float(z @ assemble_w(problem, z)), "oracle", total)
-        for z in kept
-    )
+    solutions = []
+    for z in kept:
+        w = assemble_w(problem, z)
+        solutions.append(LcpSolution(z, w, float(z @ w), "oracle", total))
     return EnumerationResult(
-        solutions=solutions,
+        solutions=tuple(solutions),
         multiplicities=tuple(counts),
         singular_supports=tuple(singulars),
-        exhaustive=True,
     )
 
 

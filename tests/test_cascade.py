@@ -12,6 +12,7 @@ from beamlcp import (
     InvariantViolation,
     as_lcp_solution,
     assemble_full,
+    assemble_w,
     cascade_stages,
     lemke_solve,
     solve_cascade,
@@ -110,10 +111,17 @@ def test_random_chains_match_pivot_solver(rng):
         p = gen_cascade(t, 3, rng)
         full = assemble_full(p)
         pivot = lemke_solve(full)
-        stacked = as_lcp_solution(p, solve_cascade(p))
+        sols = solve_cascade(p)
+        stacked = as_lcp_solution(p, sols)
         assert np.max(np.abs(stacked.z - pivot.z)) <= 1e-7
         rep = validate(full, stacked.z, tol=1e-8 * (1.0 + np.max(np.abs(full.q))))
         assert rep.solved
+        # The stacked w is each block's own gaps, and those are the assembled
+        # problem's w to rounding.
+        own = np.concatenate([np.concatenate([s.gamma_l, s.gamma_u]) for s in sols])
+        assert np.array_equal(stacked.w, own)
+        w = assemble_w(full, stacked.z)
+        assert np.max(np.abs(stacked.w - w)) <= 1e-14 * (1.0 + np.max(np.abs(w)))
 
 
 def test_single_block_chain_reduces_to_contact_solve(rng):

@@ -245,3 +245,78 @@ def test_solve_pgs_builds_the_beam_once(tmp_path, monkeypatch):
     assert main(["solve", "--input", str(path), "--solver", "pgs", "--output", str(out)]) == 0
     assert json.loads(out.read_text())["solver_tag"] == "pgs"
     assert len(calls) == 1
+
+
+def test_solve_cascade_assembles_the_matrix_once(tmp_path, monkeypatch, chain_2_blocks):
+    import beamlcp.cascade
+    import beamlcp.cli
+
+    path = write_problem(tmp_path, "cascade", "chain.json", problem=chain_2_blocks)
+    calls = []
+    original = beamlcp.cascade.assemble_full
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(beamlcp.cli, "assemble_full", counting)
+    monkeypatch.setattr(beamlcp.cascade, "assemble_full", counting)
+    assert main(["solve", "--input", str(path), "--solver", "cascade"]) == 0
+    assert len(calls) == 1
+
+
+UNIT_SCALES = (1.0, 1e3, 1e6, 1e9)
+
+SOLVERS_BY_KIND = {
+    "general": ("lemke",),
+    "contact": ("lemke", "pgs"),
+    "beam": ("lemke", "pgs"),
+    "cascade": ("lemke", "cascade"),
+}
+
+
+def scaled_problem(kind, seed, s):
+    """A generated problem of dimension at most 8 with q (loads and clearances) times s."""
+    from beamlcp import (
+        BeamConfig,
+        CascadeBlock,
+        CascadeProblem,
+        ContactLcp,
+        LcpProblem,
+        PointLoad,
+        Stabilizer,
+    )
+
+    p = gen_problem(kind, 2 if kind == "cascade" else 4, 2, seed)
+    if kind == "general":
+        return LcpProblem(p.M, s * p.q)
+    if kind == "contact":
+        return ContactLcp(p.K, s * p.q_tilde, s * p.y_star)
+    if kind == "cascade":
+        return CascadeProblem(
+            tuple(CascadeBlock(b.K, s * b.q1, s * b.q2, b.couplings) for b in p.blocks)
+        )
+    return BeamConfig(
+        p.length,
+        p.ei,
+        tuple(Stabilizer(st.position, s * st.gap) for st in p.stabilizers),
+        tuple(PointLoad(ld.position, s * ld.magnitude) for ld in p.loads),
+    )
+
+
+@pytest.mark.parametrize("scale", UNIT_SCALES)
+@pytest.mark.parametrize("kind", list(SOLVERS_BY_KIND))
+def test_commands_agree_at_every_unit_scale(tmp_path, kind, scale):
+    # Each problem has exactly one solution (SPD M, or the paper's paired
+    # blocks with q1 + q2 > 0), so solve, verify and enumerate must all say
+    # so whatever units the loads and clearances are given in.
+    for seed in range(5):
+        path = write_problem(tmp_path, kind, f"{seed}.json", problem=scaled_problem(kind, seed, scale))
+        for solver in SOLVERS_BY_KIND[kind]:
+            out = tmp_path / f"{seed}-{solver}.json"
+            solve = ["solve", "--input", str(path), "--solver", solver, "--output", str(out)]
+            assert main(solve) == 0, (seed, solver)
+            assert main(["verify", "--input", str(path), "--output", str(out)]) == 0, (seed, solver)
+            assert main([*solve, "--cap", "8"]) == 0, (seed, solver)
+            assert json.loads(out.read_text())["uniqueness_verdict"] == "unique"
+        assert main(["enumerate", "--input", str(path)]) == 0, seed

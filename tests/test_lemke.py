@@ -7,7 +7,6 @@ import pytest
 
 from beamlcp import (
     LcpProblem,
-    LemkeOptions,
     PivotLimitExceeded,
     RayTermination,
     assemble,
@@ -65,9 +64,15 @@ def test_ray_termination_on_infeasible_problem():
         lemke_solve(LcpProblem(np.array([[-1.0]]), np.array([-1.0])))
 
 
-def test_pivot_limit(contact_1d):
+def test_pivot_limit(contact_1d, monkeypatch):
+    import beamlcp.lemke
+
+    # A budget of one pivot at n = 2; the solve needs two.
+    monkeypatch.setattr(beamlcp.lemke, "MAX_PIVOTS_PER_DIM_SQUARED", 0.25)
     with pytest.raises(PivotLimitExceeded):
-        lemke_solve(assemble(contact_1d), LemkeOptions(max_pivots=1))
+        lemke_solve(assemble(contact_1d))
+    monkeypatch.undo()
+    assert lemke_solve(assemble(contact_1d)).iterations == 2
 
 
 def test_random_structured_problems_solve(rng):

@@ -20,7 +20,6 @@ from beamlcp import (
 def test_reference_1d_contact(contact_1d):
     p = assemble(contact_1d)
     res = enumerate_solutions(p, tol=1e-9)
-    assert res.exhaustive
     assert len(res.solutions) == 1
     assert np.allclose(res.solutions[0].z, [1.0, 0.0], rtol=0, atol=1e-12)
     assert res.solutions[0].solver_tag == "oracle"
