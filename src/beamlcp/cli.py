@@ -111,8 +111,18 @@ def _contact_section(z: np.ndarray, w: np.ndarray, sizes: list[int]) -> dict:
     }
 
 
+def _print(lines: list[str]) -> None:
+    """Write lines to the current ``sys.stdout`` in one call.
+
+    Every ``click.echo`` here names its stream: without ``file=``, click
+    caches the stream it finds in ``sys.stdout`` with a strong reference to
+    itself, so a buffer an in-process caller swapped in would never be freed.
+    """
+    click.echo("\n".join(lines), file=sys.stdout)
+
+
 def _fail(exc: Exception, code: int) -> int:
-    click.echo(f"error: {exc}", err=True)
+    click.echo(f"error: {exc}", file=sys.stderr)
     return code
 
 
@@ -186,7 +196,7 @@ def cmd_solve(input_path, output_path, solver, tol, cap) -> int:
         with open(output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)
     return EXIT_SOLVED if report.solved else EXIT_INVALID
 
 
@@ -216,24 +226,27 @@ def cmd_verify(input_path, solution_path, tol) -> int:
         return _fail(exc, EXIT_USAGE)
 
     report = validate(lcp, z, _tolerance(tol, lcp))
-    click.echo(f"feasible: {report.feasible}")
-    click.echo(f"solved: {report.solved}")
-    click.echo(f"min_z: {report.min_z:.6e}")
-    click.echo(f"min_w: {report.min_w:.6e}")
-    click.echo(f"comp_gap: {report.comp_gap:.6e}")
+    lines = [
+        f"feasible: {report.feasible}",
+        f"solved: {report.solved}",
+        f"min_z: {report.min_z:.6e}",
+        f"min_w: {report.min_w:.6e}",
+        f"comp_gap: {report.comp_gap:.6e}",
+    ]
     for idx, kind, magnitude in report.per_index_violations:
-        click.echo(f"violation[{idx}] {kind}: {magnitude:.6e}")
+        lines.append(f"violation[{idx}] {kind}: {magnitude:.6e}")
     if report.degenerate_indices:
-        click.echo(f"degenerate indices: {list(report.degenerate_indices)}")
+        lines.append(f"degenerate indices: {list(report.degenerate_indices)}")
 
     if sizes is not None:
         z1, z2 = _halves(z, sizes)
         w1, w2 = _halves(assemble_w(lcp, z), sizes)
         force_prod = float((z1 * z2).max(initial=0.0))
         gap_residual = float(np.abs(w1 + w2 - gap_sums).max(initial=0.0))
-        click.echo(f"max F_l*F_u: {force_prod:.6e}")
-        click.echo(f"gap-sum residual: {gap_residual:.6e}")
+        lines.append(f"max F_l*F_u: {force_prod:.6e}")
+        lines.append(f"gap-sum residual: {gap_residual:.6e}")
 
+    _print(lines)
     return EXIT_SOLVED if report.solved else EXIT_INVALID
 
 
@@ -251,12 +264,15 @@ def cmd_enumerate(input_path, tol, cap) -> int:
         return _fail(exc, EXIT_USAGE)
 
     enum = cert.enumeration
-    for sol, count in zip(enum.solutions, enum.multiplicities):
-        click.echo(f"solution (x{count}): {sol.z.tolist()}")
+    lines = [
+        f"solution (x{count}): {sol.z.tolist()}"
+        for sol, count in zip(enum.solutions, enum.multiplicities)
+    ]
     for sing in enum.singular_supports:
         state = "consistent" if sing.consistent else "inconsistent"
-        click.echo(f"singular support {list(sing.support)}: {state}")
-    click.echo(f"verdict: {cert.verdict.value}")
+        lines.append(f"singular support {list(sing.support)}: {state}")
+    lines.append(f"verdict: {cert.verdict.value}")
+    _print(lines)
     return {
         Verdict.UNIQUE: EXIT_SOLVED,
         Verdict.MULTIPLE: EXIT_MULTIPLE,
@@ -287,7 +303,7 @@ def cmd_gen(kind, n, t, seed, output_path) -> int:
         with open(output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)
     return EXIT_SOLVED
 
 

@@ -7,6 +7,18 @@ singular support carries a whole affine family of candidates, and feasible
 representatives of that family are genuine solutions (M z is constant along
 the family, so w is shared by all members).
 
+Supports are handled in blocks of ``BLOCK_SIZE`` consecutive bitmasks.
+Within a block the supports of each size are gathered into stacked arrays
+and go through one stacked SVD (the singularity test), one stacked solve
+(the nonsingular supports) and one stacked SVD of the singular ones (the
+consistency test).  The stacked calls run the same LAPACK routine per
+matrix as a per-support loop, so the singular/nonsingular split and the
+solved points are bit-identical to that loop; the consistency test forms
+``lstsq``'s minimum-norm solution from the SVD.  A vectorized screen then
+drops every point that :func:`validate` would certainly reject.  Only the
+survivors and the family representatives are validated and deduplicated,
+one by one in ascending mask order.
+
 Nothing here is shared with the pivoting or active-set solvers.  Only a
 consistent singular support needs an LP, so SciPy's ``linprog`` is imported
 there and nowhere else: contact, beam and cascade problems (whose singular
@@ -39,6 +51,11 @@ SINGULARITY_RTOL = 1e-10
 #: Relative residual threshold for declaring a singular system consistent.
 CONSISTENCY_RTOL = 1e-8
 
+#: Consecutive support bitmasks classified together.  One stacked call per
+#: support size amortizes NumPy's per-call cost, and the working arrays stay
+#: a few MB at dimension 18 however many blocks a problem has.
+BLOCK_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class SingularSupport:
@@ -68,8 +85,28 @@ class CertifyResult:
     enumeration: EnumerationResult
 
 
-def _smallest_singular_value(mss: np.ndarray) -> float:
-    return float(np.linalg.svd(mss, compute_uv=False)[-1])
+def _smallest_singular_values(stack: np.ndarray) -> np.ndarray:
+    """Smallest singular value of each matrix in a (B, k, k) stack."""
+    return np.linalg.svd(stack, compute_uv=False)[:, -1]
+
+
+def _lstsq_consistent(stack: np.ndarray, q_s: np.ndarray) -> np.ndarray:
+    """Whether each system ``stack[b] z = -q_s[b]`` is consistent.
+
+    The minimum-norm least-squares solution is built from one stacked SVD
+    with ``lstsq``'s default cut-off (singular values at most
+    ``eps * k`` times the largest count as zero), and the system is
+    consistent when its residual is at most ``CONSISTENCY_RTOL`` relative to
+    ``1 + max|q_s|``.
+    """
+    k = stack.shape[-1]
+    u, s, vt = np.linalg.svd(stack)
+    kept = s > np.finfo(np.float64).eps * k * s[:, :1]
+    coef = (u.transpose(0, 2, 1) @ -q_s[..., None])[..., 0]
+    coef = np.divide(coef, s, out=np.zeros_like(coef), where=kept)
+    z = vt.transpose(0, 2, 1) @ coef[..., None]
+    residual = np.abs((stack @ z)[..., 0] + q_s).max(axis=1)
+    return residual <= CONSISTENCY_RTOL * (1.0 + np.abs(q_s).max(axis=1))
 
 
 def _null_basis(mss: np.ndarray) -> np.ndarray:
@@ -113,6 +150,66 @@ def _family_representatives(mss: np.ndarray, q_s: np.ndarray, tol: float) -> lis
     return reps
 
 
+def _screen(problem: LcpProblem, z: np.ndarray, tol: float) -> np.ndarray:
+    """Rows of the (B, n) stack ``z`` that :func:`validate` could accept.
+
+    ``z >= -tol`` is tested exactly.  ``w = q + M z`` comes from one product
+    for the whole stack, whose rounding differs from the per-point product
+    in ``validate`` by at most ``(n + 1) * eps * (|q| + |M| |z|)``; the test
+    on ``w`` is loosened by four times that, so no acceptable point is lost.
+    """
+    w = problem.q + z @ problem.M.T
+    size = float(np.abs(problem.q).max()) + float(
+        np.abs(problem.M).sum(axis=1).max()
+    ) * np.abs(z).max(axis=1)
+    slack = 4.0 * (problem.n + 1) * np.finfo(np.float64).eps * size
+    return (z >= -tol).all(axis=1) & (w >= -(tol + slack)[:, None]).all(axis=1)
+
+
+def _block_outcomes(problem: LcpProblem, masks: np.ndarray, tol: float) -> list:
+    """What the supports ``masks`` contribute, in ascending mask order.
+
+    Each entry is ``(singular, candidates)``: ``singular`` is the
+    :class:`SingularSupport` record of a singular support (else None) and
+    ``candidates`` the full-length points still to validate, namely the
+    screened solution of a nonsingular support or the family representatives
+    of a consistent singular one.  Supports of one size share one stacked
+    SVD, solve and screen.
+    """
+    n = problem.n
+    bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+    sizes = bits.sum(axis=1)
+    slots = [None] * masks.size
+    for k in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == k)
+        idx = np.nonzero(bits[rows])[1].reshape(-1, k)
+        mss = problem.M[idx[:, :, None], idx[:, None, :]]
+        q_s = problem.q[idx]
+        scale = np.abs(mss).sum(axis=2).max(axis=1)
+        singular = _smallest_singular_values(mss) <= SINGULARITY_RTOL * scale
+
+        ns = np.flatnonzero(~singular)
+        if ns.size:
+            z = np.zeros((ns.size, n))
+            z[np.arange(ns.size)[:, None], idx[ns]] = np.linalg.solve(
+                mss[ns], -q_s[ns][..., None]
+            )[..., 0]
+            for j in np.flatnonzero(_screen(problem, z, tol)).tolist():
+                slots[rows[ns[j]]] = (None, [z[j].copy()])
+
+        sg = np.flatnonzero(singular)
+        if sg.size:
+            consistent = _lstsq_consistent(mss[sg], q_s[sg]).tolist()
+            for j, ok in zip(sg.tolist(), consistent):
+                reps = []
+                for rep in _family_representatives(mss[j], q_s[j], tol) if ok else ():
+                    z = np.zeros(n)
+                    z[idx[j]] = rep
+                    reps.append(z)
+                slots[rows[j]] = (SingularSupport(tuple(idx[j].tolist()), ok), reps)
+    return [slot for slot in slots if slot is not None]
+
+
 def enumerate_solutions(
     problem: LcpProblem, tol: float = 1e-9, cap: int = 14
 ) -> EnumerationResult:
@@ -141,29 +238,14 @@ def enumerate_solutions(
         kept.append(z)
         counts.append(1)
 
-    for mask in range(total):
-        support = [i for i in range(n) if mask >> i & 1]
-        if not support:
-            consider(np.zeros(n))
-            continue
-        s = np.array(support)
-        mss = problem.M[np.ix_(s, s)]
-        q_s = problem.q[s]
-        scale = float(np.abs(mss).sum(axis=1).max())
-        if _smallest_singular_value(mss) <= SINGULARITY_RTOL * scale:
-            z_ls, *_ = np.linalg.lstsq(mss, -q_s, rcond=None)
-            residual = float(np.abs(mss @ z_ls + q_s).max(initial=0.0))
-            consistent = residual <= CONSISTENCY_RTOL * (1.0 + float(np.abs(q_s).max()))
-            singulars.append(SingularSupport(tuple(support), consistent))
-            if consistent:
-                for rep in _family_representatives(mss, q_s, tol):
-                    z = np.zeros(n)
-                    z[s] = rep
-                    consider(z)
-            continue
-        z = np.zeros(n)
-        z[s] = np.linalg.solve(mss, -q_s)
-        consider(z)
+    consider(np.zeros(n))
+    for start in range(1, total, BLOCK_SIZE):
+        masks = np.arange(start, min(start + BLOCK_SIZE, total))
+        for singular, candidates in _block_outcomes(problem, masks, tol):
+            if singular is not None:
+                singulars.append(singular)
+            for z in candidates:
+                consider(z)
 
     solutions = []
     for z in kept:

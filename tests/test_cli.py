@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import io
 import json
+import weakref
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -176,6 +180,17 @@ def test_enumerate_none(infeasible_file, capsys):
     text = capsys.readouterr().out
     assert code == 3
     assert "verdict: none" in text
+
+
+def test_enumerate_releases_a_swapped_in_stdout(degenerate_file):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(["enumerate", "--input", str(degenerate_file)]) == 4
+    assert buf.getvalue().endswith("verdict: multiple\n")
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None
 
 
 def test_enumerate_dimension_over_cap(tmp_path):

@@ -1,18 +1,33 @@
-"""The oracle's NumPy linear algebra agrees with the SciPy routines it replaced.
+"""The oracle agrees with the routines it replaced.
 
-``scipy.linalg`` is the reference here and only here: the smallest LU pivot
+``scipy.linalg`` is a reference here and only here: the smallest LU pivot
 was the singularity test and ``null_space`` the null basis.  Patching both
 back into the oracle reproduces its former enumeration exactly.
+
+``loop_enumeration`` is the other reference: the per-support loop that the
+blocked, stacked enumeration replaced.  The two must agree bit for bit.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from beamlcp import LcpProblem, assemble, assemble_full, certify_unique, oracle, to_contact_lcp
+from beamlcp import (
+    LcpProblem,
+    Verdict,
+    assemble,
+    assemble_full,
+    certify_unique,
+    enumerate_solutions,
+    oracle,
+    to_contact_lcp,
+)
 from beamlcp.generate import gen_beam, gen_cascade, gen_contact, gen_general
+from beamlcp.lcp import assemble_w, validate
 
 
 def lu_smallest_pivot(mss: np.ndarray) -> float:
@@ -20,6 +35,10 @@ def lu_smallest_pivot(mss: np.ndarray) -> float:
         return abs(float(mss[0, 0]))
     _, _, u = scipy.linalg.lu(mss)
     return float(np.abs(np.diag(u)).min())
+
+
+def lu_smallest_pivots(stack: np.ndarray) -> np.ndarray:
+    return np.array([lu_smallest_pivot(mss) for mss in stack])
 
 
 def scipy_null_basis(mss: np.ndarray) -> np.ndarray:
@@ -32,6 +51,8 @@ INLINE = {
     "nonconvex": LcpProblem([[-1.0]], [1.0]),
     "infeasible": LcpProblem([[0.0]], [-1.0]),
     "duplicate-supports": LcpProblem(np.eye(2), [0.0, -1.0]),
+    # At the CLI tolerance the point of support {0} has w_1 = -5e-9 and still validates.
+    "within-tolerance": LcpProblem(np.eye(2), [-1.0, -5e-9]),
 }
 
 
@@ -55,14 +76,19 @@ def generated() -> dict:
 CASES = {**INLINE, **generated()}
 
 
-@pytest.fixture(params=FIXTURES + list(CASES))
-def problem(request) -> LcpProblem:
-    if request.param in CASES:
-        return CASES[request.param]
-    p = request.getfixturevalue(request.param)
-    if request.param == "chain_2_blocks":
+def resolve(request, name: str) -> LcpProblem:
+    """The named case, or the named conftest fixture as an assembled LCP."""
+    if name in CASES:
+        return CASES[name]
+    p = request.getfixturevalue(name)
+    if name == "chain_2_blocks":
         return assemble_full(p)
     return p if isinstance(p, LcpProblem) else assemble(p)
+
+
+@pytest.fixture(params=FIXTURES + list(CASES))
+def problem(request) -> LcpProblem:
+    return resolve(request, request.param)
 
 
 def test_svd_and_lu_classify_every_support_alike(problem):
@@ -71,14 +97,14 @@ def test_svd_and_lu_classify_every_support_alike(problem):
         s = [i for i in range(n) if mask >> i & 1]
         mss = problem.M[np.ix_(s, s)]
         cut = oracle.SINGULARITY_RTOL * float(np.abs(mss).sum(axis=1).max())
-        by_svd = oracle._smallest_singular_value(mss) <= cut
+        by_svd = oracle._smallest_singular_values(mss[None])[0] <= cut
         by_lu = lu_smallest_pivot(mss) <= cut
         assert by_svd == by_lu, s
 
 
 def test_enumeration_matches_the_scipy_reference(problem, monkeypatch):
     new = certify_unique(problem)
-    monkeypatch.setattr(oracle, "_smallest_singular_value", lu_smallest_pivot)
+    monkeypatch.setattr(oracle, "_smallest_singular_values", lu_smallest_pivots)
     monkeypatch.setattr(oracle, "_null_basis", scipy_null_basis)
     ref = certify_unique(problem)
 
@@ -112,3 +138,141 @@ def test_null_basis_spans_the_scipy_null_space(mss):
     assert np.allclose(got.T @ got, np.eye(got.shape[1]), rtol=0, atol=1e-12)
     assert np.allclose(got @ got.T, want @ want.T, rtol=0, atol=1e-12)
     assert np.abs(mss @ got).max() <= 1e-12 * np.abs(mss).max()
+
+
+def loop_enumeration(problem: LcpProblem, tol: float, check=validate):
+    """The per-support enumeration: one SVD, one solve and one ``check`` per support.
+
+    Returns the solutions with their multiplicities and the singular supports.
+    """
+    n = problem.n
+    kept, counts, singulars = [], [], []
+
+    def consider(z):
+        if not check(problem, z, tol).solved:
+            return
+        for idx, prev in enumerate(kept):
+            if np.abs(z - prev).max(initial=0.0) <= tol:
+                counts[idx] += 1
+                return
+        kept.append(z)
+        counts.append(1)
+
+    for mask in range(1 << n):
+        support = [i for i in range(n) if mask >> i & 1]
+        if not support:
+            consider(np.zeros(n))
+            continue
+        s = np.array(support)
+        mss = problem.M[np.ix_(s, s)]
+        q_s = problem.q[s]
+        scale = float(np.abs(mss).sum(axis=1).max())
+        if float(np.linalg.svd(mss, compute_uv=False)[-1]) <= oracle.SINGULARITY_RTOL * scale:
+            z_ls, *_ = np.linalg.lstsq(mss, -q_s, rcond=None)
+            residual = float(np.abs(mss @ z_ls + q_s).max(initial=0.0))
+            consistent = residual <= oracle.CONSISTENCY_RTOL * (1.0 + float(np.abs(q_s).max()))
+            singulars.append(oracle.SingularSupport(tuple(support), consistent))
+            if consistent:
+                for rep in oracle._family_representatives(mss, q_s, tol):
+                    z = np.zeros(n)
+                    z[s] = rep
+                    consider(z)
+            continue
+        z = np.zeros(n)
+        z[s] = np.linalg.solve(mss, -q_s)
+        consider(z)
+    return kept, counts, tuple(singulars)
+
+
+def larger() -> dict:
+    """Contact, beam and cascade problems with physical size n = 6, general ones up to n = 8.
+
+    The integer-entry problems have exactly singular supports, consistent and
+    not, and zero, one or several solutions.
+    """
+    out = {}
+    for seed in (0, 1):
+        rng = np.random.default_rng(200 + seed)
+        out[f"contact-n6-s{seed}"] = assemble(gen_contact(6, rng))
+        out[f"beam-n6-s{seed}"] = assemble(to_contact_lcp(gen_beam(6, rng)))
+        for n in range(5, 9):
+            out[f"general-n{n}-s{seed}"] = gen_general(n, np.random.default_rng(400 + 10 * seed + n))
+    for seed in (302, 304):  # block sizes 2, 2, 2
+        out[f"cascade-t3-n6-s{seed}"] = assemble_full(gen_cascade(3, 2, np.random.default_rng(seed)))
+    for seed in range(500, 506):
+        rng = np.random.default_rng(seed)
+        out[f"integer-n6-s{seed}"] = LcpProblem(
+            rng.integers(-1, 2, (6, 6)).astype(float), rng.integers(-2, 3, 6).astype(float)
+        )
+    return out
+
+
+LARGER = larger()
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(CASES) + list(LARGER))
+def test_blocks_reproduce_the_per_support_loop(name, request):
+    problem = LARGER[name] if name in LARGER else resolve(request, name)
+    tol = 1e-8 * (1.0 + float(np.abs(problem.q).max()))
+    got = certify_unique(problem, tol=tol, cap=problem.n)
+    kept, counts, singulars = loop_enumeration(problem, tol)
+
+    want = {0: Verdict.NONE, 1: Verdict.UNIQUE}.get(len(kept), Verdict.MULTIPLE)
+    assert got.verdict is want
+    assert got.enumeration.singular_supports == singulars
+    assert got.enumeration.multiplicities == tuple(counts)
+    for sol, z in zip(got.enumeration.solutions, kept, strict=True):
+        assert np.array_equal(sol.z, z)
+        assert np.array_equal(sol.w, assemble_w(problem, z))
+
+
+def test_consistency_test_matches_lstsq():
+    rng = np.random.default_rng(7)
+    stack, rhs = [], []
+    for s_min in (0.0, 1e-15, 1e-13, 1e-11):
+        for shift in (0.0, 1e-9, 1e-6, 1e-3):
+            u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            a = u @ np.diag([3.0, 1.0, 0.5, s_min]) @ v.T
+            stack.append(a)
+            rhs.append(-(a @ rng.standard_normal(4)) + shift * u[:, 3])
+    stack, rhs = np.array(stack), np.array(rhs)
+    want = []
+    for a, q in zip(stack, rhs):
+        z, *_ = np.linalg.lstsq(a, -q, rcond=None)
+        residual = float(np.abs(a @ z + q).max())
+        want.append(residual <= oracle.CONSISTENCY_RTOL * (1.0 + float(np.abs(q).max())))
+    assert oracle._lstsq_consistent(stack, rhs).tolist() == want
+    assert sorted(set(want)) == [False, True]
+
+
+def test_validate_runs_only_on_screened_survivors(monkeypatch):
+    problem = assemble(gen_contact(6, np.random.default_rng(6)))
+    tol = 1e-8 * (1.0 + float(np.abs(problem.q).max()))
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return validate(*args)
+
+    loop_enumeration(problem, tol, check=counting)
+    assert len(calls) == 3**6  # every nonsingular support, the empty one included
+    calls.clear()
+    monkeypatch.setattr(oracle, "validate", counting)
+    result = enumerate_solutions(problem, tol=tol, cap=problem.n)
+    # The empty support is validated unscreened; every other call is a screened survivor.
+    assert len(result.solutions) == 1
+    assert len(calls) <= 1 + sum(result.multiplicities)
+
+
+def test_working_memory_does_not_grow_with_the_block_count():
+    problem = gen_general(16, np.random.default_rng(16))
+    assert (1 << problem.n) // oracle.BLOCK_SIZE >= 64
+    tracemalloc.start()
+    try:
+        result = enumerate_solutions(problem, cap=problem.n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.solutions) == 1
+    assert peak < 4e6, peak
