@@ -49,7 +49,32 @@ EXIT_MULTIPLE = 4
 _SOLVER_FAILURES = (RayTermination, PivotLimitExceeded, NumericalBreakdown, MaxIterationsExceeded)
 
 
-@click.group()
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    """``--help``: click's own callback, but writing to the current ``sys.stdout``."""
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color, file=sys.stdout)
+        ctx.exit()
+
+
+class _StdoutHelp:
+    """Give the help option :func:`_show_help` as its callback (see :func:`_print`)."""
+
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Command(_StdoutHelp, click.Command):
+    pass
+
+
+class _Group(_StdoutHelp, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def cli():
     """Two-sided contact LCP toolkit."""
 

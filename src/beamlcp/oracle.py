@@ -19,10 +19,22 @@ drops every point that :func:`validate` would certainly reject.  Only the
 survivors and the family representatives are validated and deduplicated,
 one by one in ascending mask order.
 
+One exact rule settles many supports without LAPACK.  When rows ``i`` and
+``j`` of ``M`` are exact negatives, every support holding both is exactly
+singular, and any ``z`` leaves residuals on those rows that sum to
+``q_i + q_j``.  If ``|q_i + q_j|`` exceeds ``PAIR_MARGIN`` times the
+consistency threshold at ``max|q|``, the support is recorded as singular and
+inconsistent straight away.  The paired matrices of contact, beam and
+cascade problems have such a pair for every physical index, so only their
+3^n sign patterns reach the stacked calls; general problems rarely have any.
+
 Nothing here is shared with the pivoting or active-set solvers.  Only a
 consistent singular support needs an LP, so SciPy's ``linprog`` is imported
-there and nowhere else: contact, beam and cascade problems (whose singular
-supports are all inconsistent) enumerate with NumPy alone.
+there and nowhere else.  A problem whose singular supports all fall to the
+pair rule, as contact, beam and cascade problems at unit scales near 1 do,
+enumerates with NumPy alone; at small scales (``q`` times 1e-9) the margin
+switches the rule off, their singular supports can test consistent, and
+the LP runs.
 """
 
 from __future__ import annotations
@@ -50,6 +62,12 @@ SINGULARITY_RTOL = 1e-10
 
 #: Relative residual threshold for declaring a singular system consistent.
 CONSISTENCY_RTOL = 1e-8
+
+#: How far ``|q_i + q_j|`` of an exactly negated row pair must exceed the
+#: consistency threshold before its supports are called inconsistent without
+#: a solve.  Any ``z`` leaves a residual of at least ``|q_i + q_j| / 2`` on one
+#: of the two rows, so 4 keeps the rule twice inside the least-squares test.
+PAIR_MARGIN = 4.0
 
 #: Consecutive support bitmasks classified together.  One stacked call per
 #: support size amortizes NumPy's per-call cost, and the working arrays stay
@@ -166,21 +184,45 @@ def _screen(problem: LcpProblem, z: np.ndarray, tol: float) -> np.ndarray:
     return (z >= -tol).all(axis=1) & (w >= -(tol + slack)[:, None]).all(axis=1)
 
 
-def _block_outcomes(problem: LcpProblem, masks: np.ndarray, tol: float) -> list:
+def _negated_pairs(problem: LcpProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, ``i < j``, whose supports are inconsistent by rule.
+
+    Row ``j`` of ``M`` is exactly ``-M[i]``, and ``|q_i + q_j|`` exceeds
+    ``PAIR_MARGIN`` times the consistency threshold at ``max|q|``.  Returned
+    as two index arrays of equal length.
+    """
+    m, q = problem.M, problem.q
+    negated = np.triu((m[:, None, :] == -m[None, :, :]).all(axis=2), k=1)
+    threshold = PAIR_MARGIN * CONSISTENCY_RTOL * (1.0 + float(np.abs(q).max(initial=0.0)))
+    far = np.abs(q[:, None] + q[None, :]) > threshold
+    return np.nonzero(negated & far)
+
+
+def _block_outcomes(
+    problem: LcpProblem, masks: np.ndarray, tol: float, pairs: tuple[np.ndarray, np.ndarray]
+) -> list:
     """What the supports ``masks`` contribute, in ascending mask order.
 
     Each entry is ``(singular, candidates)``: ``singular`` is the
     :class:`SingularSupport` record of a singular support (else None) and
     ``candidates`` the full-length points still to validate, namely the
     screened solution of a nonsingular support or the family representatives
-    of a consistent singular one.  Supports of one size share one stacked
-    SVD, solve and screen.
+    of a consistent singular one.  A support that holds one of ``pairs`` is
+    singular and inconsistent with no candidates.  The other supports of one
+    size share one stacked SVD, solve and screen.
     """
     n = problem.n
     bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
     sizes = bits.sum(axis=1)
     slots = [None] * masks.size
-    for k in np.unique(sizes).tolist():
+    paired = (bits[:, pairs[0]] & bits[:, pairs[1]]).any(axis=1)
+    held = np.flatnonzero(paired)
+    members = np.nonzero(bits[held])[1].tolist()
+    ends = np.cumsum(sizes[held]).tolist()
+    for r, start, end in zip(held.tolist(), [0] + ends, ends):
+        slots[r] = (SingularSupport(tuple(members[start:end]), False), [])
+    sizes[paired] = 0
+    for k in np.unique(sizes[sizes > 0]).tolist():
         rows = np.flatnonzero(sizes == k)
         idx = np.nonzero(bits[rows])[1].reshape(-1, k)
         mss = problem.M[idx[:, :, None], idx[:, None, :]]
@@ -238,10 +280,11 @@ def enumerate_solutions(
         kept.append(z)
         counts.append(1)
 
+    pairs = _negated_pairs(problem)
     consider(np.zeros(n))
     for start in range(1, total, BLOCK_SIZE):
         masks = np.arange(start, min(start + BLOCK_SIZE, total))
-        for singular, candidates in _block_outcomes(problem, masks, tol):
+        for singular, candidates in _block_outcomes(problem, masks, tol, pairs):
             if singular is not None:
                 singulars.append(singular)
             for z in candidates:

@@ -193,6 +193,22 @@ def test_enumerate_releases_a_swapped_in_stdout(degenerate_file):
     assert ref() is None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["solve", "--help"], ["verify", "--help"], ["enumerate", "--help"], ["gen", "--help"]],
+    ids=" ".join,
+)
+def test_help_releases_a_swapped_in_stdout(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(argv) == 0
+    assert buf.getvalue().startswith("Usage: ")
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None
+
+
 def test_enumerate_dimension_over_cap(tmp_path):
     from beamlcp import LcpProblem
 

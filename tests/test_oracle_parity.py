@@ -15,6 +15,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamlcp import (
     LcpProblem,
@@ -45,6 +47,8 @@ def scipy_null_basis(mss: np.ndarray) -> np.ndarray:
     return scipy.linalg.null_space(mss, rcond=oracle.SINGULARITY_RTOL)
 
 
+PAIRED_K = np.array([[2.0, 1.0], [1.0, 2.0]])
+
 FIXTURES = ["contact_1d", "contact_1d_resting", "contact_2d", "chain_2_blocks", "degenerate_2d"]
 
 INLINE = {
@@ -53,6 +57,11 @@ INLINE = {
     "duplicate-supports": LcpProblem(np.eye(2), [0.0, -1.0]),
     # At the CLI tolerance the point of support {0} has w_1 = -5e-9 and still validates.
     "within-tolerance": LcpProblem(np.eye(2), [-1.0, -5e-9]),
+    # The singular PSD fixture lifted to dimension 4: rows 0 and 2, 1 and 3 are
+    # negated pairs with q_i + q_j = 0, so the pair rule stays off and the LP runs.
+    "lifted-singular-psd": LcpProblem(
+        np.block([[PAIRED_K, -PAIRED_K], [-PAIRED_K, PAIRED_K]]), [-1.0, 0.5, 1.0, -0.5]
+    ),
 }
 
 
@@ -187,7 +196,9 @@ def loop_enumeration(problem: LcpProblem, tol: float, check=validate):
 def larger() -> dict:
     """Contact, beam and cascade problems with physical size n = 6, general ones up to n = 8.
 
-    The integer-entry problems have exactly singular supports, consistent and
+    Two of them also come with ``q`` scaled by 1e9 and by 1e-9; at 1e-9 the
+    pair rule is off and every paired support is consistent.  The
+    integer-entry problems have exactly singular supports, consistent and
     not, and zero, one or several solutions.
     """
     out = {}
@@ -199,6 +210,9 @@ def larger() -> dict:
             out[f"general-n{n}-s{seed}"] = gen_general(n, np.random.default_rng(400 + 10 * seed + n))
     for seed in (302, 304):  # block sizes 2, 2, 2
         out[f"cascade-t3-n6-s{seed}"] = assemble_full(gen_cascade(3, 2, np.random.default_rng(seed)))
+    for name in ("contact-n6-s0", "cascade-t3-n6-s302"):
+        for scale in (1e-9, 1e9):
+            out[f"{name}-x{scale:g}"] = LcpProblem(out[name].M, out[name].q * scale)
     for seed in range(500, 506):
         rng = np.random.default_rng(seed)
         out[f"integer-n6-s{seed}"] = LcpProblem(
@@ -276,3 +290,132 @@ def test_working_memory_does_not_grow_with_the_block_count():
         tracemalloc.stop()
     assert len(result.solutions) == 1
     assert peak < 4e6, peak
+
+
+def counting_stacks(monkeypatch) -> dict:
+    """Count the supports that reach the stacked singularity and consistency tests."""
+    rows = {"svd": 0, "lstsq": 0}
+    svd, lstsq = oracle._smallest_singular_values, oracle._lstsq_consistent
+
+    def counted_svd(stack):
+        rows["svd"] += stack.shape[0]
+        return svd(stack)
+
+    def counted_lstsq(stack, q_s):
+        rows["lstsq"] += stack.shape[0]
+        return lstsq(stack, q_s)
+
+    monkeypatch.setattr(oracle, "_smallest_singular_values", counted_svd)
+    monkeypatch.setattr(oracle, "_lstsq_consistent", counted_lstsq)
+    return rows
+
+
+def test_paired_supports_skip_the_stacked_tests(monkeypatch):
+    rows = counting_stacks(monkeypatch)
+    contact = assemble(gen_contact(6, np.random.default_rng(6)))
+    result = enumerate_solutions(contact, tol=1e-8 * (1.0 + float(np.abs(contact.q).max())), cap=12)
+    # Only the sign patterns of d reach the SVD, and all of them are nonsingular.
+    assert rows == {"svd": 3**6 - 1, "lstsq": 0}
+    assert len(result.singular_supports) == 4**6 - 3**6
+    assert not any(s.consistent for s in result.singular_supports)
+
+    rows.update(svd=0, lstsq=0)
+    general = gen_general(8, np.random.default_rng(8))
+    assert len(oracle._negated_pairs(general)[0]) == 0
+    enumerate_solutions(general, cap=8)
+    assert rows["svd"] == 2**8 - 1
+
+
+def pair_threshold(q: np.ndarray) -> float:
+    """The smallest ``|q_i + q_j|`` beyond which the pair rule applies."""
+    return oracle.PAIR_MARGIN * oracle.CONSISTENCY_RTOL * (1.0 + float(np.abs(q).max()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 6),
+    paired=st.booleans(),
+    m_exp=st.integers(-6, 6),
+    q_exp=st.integers(-12, 12),
+    excess=st.floats(1.001, 1e6),
+)
+def test_a_negated_pair_beyond_the_threshold_is_singular_and_inconsistent(
+    seed, k, paired, m_exp, q_exp, excess
+):
+    """What the pair rule decides without LAPACK, the stacked tests decide alike.
+
+    Each matrix has rows ``j = -i`` exactly; it is either a random matrix or a
+    principal submatrix of a paired ``[[K, -K], [-K, K]]`` with ``K`` SPD.
+    ``q_j`` is set so that ``|q_i + q_j|`` is ``excess`` times the threshold.
+    """
+    rng = np.random.default_rng(seed)
+    stack = np.empty((4, k, k))
+    q_s = rng.standard_normal((4, k)) * 10.0**q_exp
+    for b in range(4):
+        if paired:
+            a = rng.standard_normal((k, k))
+            spd = a.T @ a + np.eye(k)
+            big = np.block([[spd, -spd], [-spd, spd]])
+            pair = int(rng.integers(k))
+            others = np.setdiff1d(np.arange(2 * k), [pair, pair + k])
+            support = np.sort(np.r_[pair, pair + k, rng.choice(others, k - 2, replace=False)])
+            stack[b] = big[np.ix_(support, support)] * 10.0**m_exp
+            i, j = (int(np.flatnonzero(support == x)[0]) for x in (pair, pair + k))
+        else:
+            stack[b] = rng.standard_normal((k, k)) * 10.0**m_exp
+            i, j = (int(x) for x in rng.choice(k, 2, replace=False))
+            stack[b, j] = -stack[b, i]
+        assert np.array_equal(stack[b, j], -stack[b, i])
+        rest = np.delete(q_s[b], j)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        q_s[b, j] = -q_s[b, i] + sign * excess * pair_threshold(rest)
+        assert abs(q_s[b, i] + q_s[b, j]) > pair_threshold(q_s[b])
+
+    scale = np.abs(stack).sum(axis=2).max(axis=1)
+    assert (oracle._smallest_singular_values(stack) <= oracle.SINGULARITY_RTOL * scale).all()
+    assert not oracle._lstsq_consistent(stack, q_s).any()
+
+
+@pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3], ids=["below", "above"])
+def test_the_pair_rule_agrees_with_the_loop_at_its_threshold(side, monkeypatch):
+    """Rows 0 and 2 are a negated pair with ``q_0 + q_2`` on either side of the threshold.
+
+    Rows 1 and 3 are a pair far beyond it.  ``max|q|`` is 1 on both sides,
+    so the threshold is the same and only the rule's decision moves.
+    """
+    m = np.block([[PAIRED_K, -PAIRED_K], [-PAIRED_K, PAIRED_K]])
+    gap = side * oracle.PAIR_MARGIN * oracle.CONSISTENCY_RTOL * 2.0
+    problem = LcpProblem(m, [-1.0 + gap, 0.5, 1.0, 0.5])
+    assert float(np.abs(problem.q).max()) == 1.0
+    pairs = [(int(i), int(j)) for i, j in zip(*oracle._negated_pairs(problem))]
+    assert pairs == ([(0, 2), (1, 3)] if side > 1.0 else [(1, 3)])
+
+    rows = counting_stacks(monkeypatch)
+    tol = 1e-8 * (1.0 + float(np.abs(problem.q).max()))
+    got = certify_unique(problem, tol=tol, cap=problem.n)
+    # Below the threshold {0, 2}, {0, 1, 2} and {0, 2, 3} reach the consistency test.
+    assert rows["lstsq"] == (0 if side > 1.0 else 3)
+    kept, counts, singulars = loop_enumeration(problem, tol)
+    assert got.enumeration.singular_supports == singulars
+    assert not any(s.consistent for s in singulars)
+    assert got.verdict is Verdict.UNIQUE
+    assert got.enumeration.multiplicities == tuple(counts)
+    assert np.array_equal(got.z, kept[0])
+
+
+def test_a_pair_with_zero_gap_sum_reaches_the_lp(monkeypatch):
+    problem = CASES["lifted-singular-psd"]
+    assert len(oracle._negated_pairs(problem)[0]) == 0
+    calls = []
+    representatives = oracle._family_representatives
+
+    def counted(mss, q_s, tol):
+        calls.append(mss.shape[0])
+        return representatives(mss, q_s, tol)
+
+    monkeypatch.setattr(oracle, "_family_representatives", counted)
+    result = certify_unique(problem, tol=1e-8 * (1.0 + float(np.abs(problem.q).max())), cap=4)
+    assert result.verdict is Verdict.MULTIPLE
+    assert calls
+    assert all(s.consistent for s in result.enumeration.singular_supports)
