@@ -17,7 +17,10 @@ solved points are bit-identical to that loop; the consistency test forms
 ``lstsq``'s minimum-norm solution from the SVD.  A vectorized screen then
 drops every point that :func:`validate` would certainly reject.  Only the
 survivors and the family representatives are validated and deduplicated,
-one by one in ascending mask order.
+one by one in ascending mask order.  Singular supports are kept as two
+arrays, their bitmasks in ascending order and a consistency flag each, with
+no object per support; ``EnumerationResult.singular_supports`` builds
+:class:`SingularSupport` records from them only when it is read.
 
 One exact rule settles many supports without LAPACK.  When rows ``i`` and
 ``j`` of ``M`` are exact negatives, every support holding both is exactly
@@ -83,11 +86,31 @@ class SingularSupport:
 
 @dataclass(frozen=True, eq=False)
 class EnumerationResult:
-    """All solutions (deduplicated, in support-bitmask order) plus diagnostics."""
+    """All solutions (deduplicated, in support-bitmask order) plus diagnostics.
+
+    The singular supports are kept as arrays: ``singular_masks`` holds their
+    bitmasks in ascending order (bit ``i`` set when index ``i`` is in the
+    support) and ``singular_consistent`` whether each system is consistent.
+    ``singular_supports`` builds the same list as :class:`SingularSupport`
+    records when it is read.
+    """
 
     solutions: tuple
     multiplicities: tuple
-    singular_supports: tuple
+    singular_masks: np.ndarray
+    singular_consistent: np.ndarray
+
+    @property
+    def singular_supports(self) -> tuple:
+        """One :class:`SingularSupport` per singular support, in ascending mask order."""
+        masks = self.singular_masks
+        bits = (masks[:, None] >> np.arange(int(masks.max(initial=0)).bit_length())) & 1
+        members = np.nonzero(bits)[1].tolist()
+        ends = np.cumsum(bits.sum(axis=1)).tolist()
+        return tuple(
+            SingularSupport(tuple(members[start:end]), ok)
+            for start, end, ok in zip([0] + ends, ends, self.singular_consistent.tolist())
+        )
 
 
 class Verdict(enum.Enum):
@@ -200,56 +223,55 @@ def _negated_pairs(problem: LcpProblem) -> tuple[np.ndarray, np.ndarray]:
 
 def _block_outcomes(
     problem: LcpProblem, masks: np.ndarray, tol: float, pairs: tuple[np.ndarray, np.ndarray]
-) -> list:
-    """What the supports ``masks`` contribute, in ascending mask order.
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """What the supports ``masks`` contribute: ``(singular, consistent, candidates)``.
 
-    Each entry is ``(singular, candidates)``: ``singular`` is the
-    :class:`SingularSupport` record of a singular support (else None) and
-    ``candidates`` the full-length points still to validate, namely the
-    screened solution of a nonsingular support or the family representatives
-    of a consistent singular one.  A support that holds one of ``pairs`` is
-    singular and inconsistent with no candidates.  The other supports of one
-    size share one stacked SVD, solve and screen.
+    ``singular`` and ``consistent`` are boolean arrays over ``masks`` (a
+    nonsingular support is not consistent).  ``candidates`` are the
+    full-length points still to validate, in ascending mask order: the
+    screened solution of each nonsingular support and the family
+    representatives of each consistent singular one.  A support that holds
+    one of ``pairs`` is singular and inconsistent with no candidates.  The
+    other supports of one size share one stacked SVD, solve and screen.
     """
     n = problem.n
     bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
     sizes = bits.sum(axis=1)
-    slots = [None] * masks.size
-    paired = (bits[:, pairs[0]] & bits[:, pairs[1]]).any(axis=1)
-    held = np.flatnonzero(paired)
-    members = np.nonzero(bits[held])[1].tolist()
-    ends = np.cumsum(sizes[held]).tolist()
-    for r, start, end in zip(held.tolist(), [0] + ends, ends):
-        slots[r] = (SingularSupport(tuple(members[start:end]), False), [])
-    sizes[paired] = 0
+    singular = (bits[:, pairs[0]] & bits[:, pairs[1]]).any(axis=1)
+    consistent = np.zeros(masks.size, dtype=bool)
+    found = []
+    sizes[singular] = 0
     for k in np.unique(sizes[sizes > 0]).tolist():
         rows = np.flatnonzero(sizes == k)
         idx = np.nonzero(bits[rows])[1].reshape(-1, k)
         mss = problem.M[idx[:, :, None], idx[:, None, :]]
         q_s = problem.q[idx]
         scale = np.abs(mss).sum(axis=2).max(axis=1)
-        singular = _smallest_singular_values(mss) <= SINGULARITY_RTOL * scale
+        sing = _smallest_singular_values(mss) <= SINGULARITY_RTOL * scale
+        singular[rows[sing]] = True
 
-        ns = np.flatnonzero(~singular)
+        ns = np.flatnonzero(~sing)
         if ns.size:
             z = np.zeros((ns.size, n))
             z[np.arange(ns.size)[:, None], idx[ns]] = np.linalg.solve(
                 mss[ns], -q_s[ns][..., None]
             )[..., 0]
             for j in np.flatnonzero(_screen(problem, z, tol)).tolist():
-                slots[rows[ns[j]]] = (None, [z[j].copy()])
+                found.append((rows[ns[j]], [z[j].copy()]))
 
-        sg = np.flatnonzero(singular)
+        sg = np.flatnonzero(sing)
         if sg.size:
-            consistent = _lstsq_consistent(mss[sg], q_s[sg]).tolist()
-            for j, ok in zip(sg.tolist(), consistent):
+            ok = _lstsq_consistent(mss[sg], q_s[sg])
+            consistent[rows[sg]] = ok
+            for j in sg[ok].tolist():
                 reps = []
-                for rep in _family_representatives(mss[j], q_s[j], tol) if ok else ():
+                for rep in _family_representatives(mss[j], q_s[j], tol):
                     z = np.zeros(n)
                     z[idx[j]] = rep
                     reps.append(z)
-                slots[rows[j]] = (SingularSupport(tuple(idx[j].tolist()), ok), reps)
-    return [slot for slot in slots if slot is not None]
+                found.append((rows[j], reps))
+    found.sort(key=lambda item: item[0])
+    return singular, consistent, [z for _, points in found for z in points]
 
 
 def enumerate_solutions(
@@ -267,7 +289,8 @@ def enumerate_solutions(
     total = 1 << n
     kept: list[np.ndarray] = []
     counts: list[int] = []
-    singulars: list[SingularSupport] = []
+    singular_masks = [np.empty(0, dtype=np.int64)]
+    singular_consistent = [np.empty(0, dtype=bool)]
 
     def consider(z: np.ndarray):
         report = validate(problem, z, tol)
@@ -283,12 +306,12 @@ def enumerate_solutions(
     pairs = _negated_pairs(problem)
     consider(np.zeros(n))
     for start in range(1, total, BLOCK_SIZE):
-        masks = np.arange(start, min(start + BLOCK_SIZE, total))
-        for singular, candidates in _block_outcomes(problem, masks, tol, pairs):
-            if singular is not None:
-                singulars.append(singular)
-            for z in candidates:
-                consider(z)
+        masks = np.arange(start, min(start + BLOCK_SIZE, total), dtype=np.int64)
+        singular, consistent, candidates = _block_outcomes(problem, masks, tol, pairs)
+        singular_masks.append(masks[singular])
+        singular_consistent.append(consistent[singular])
+        for z in candidates:
+            consider(z)
 
     solutions = []
     for z in kept:
@@ -297,7 +320,8 @@ def enumerate_solutions(
     return EnumerationResult(
         solutions=tuple(solutions),
         multiplicities=tuple(counts),
-        singular_supports=tuple(singulars),
+        singular_masks=np.concatenate(singular_masks),
+        singular_consistent=np.concatenate(singular_consistent),
     )
 
 

@@ -193,6 +193,90 @@ def test_enumerate_releases_a_swapped_in_stdout(degenerate_file):
     assert ref() is None
 
 
+def test_enumerate_builds_no_support_records(tmp_path, monkeypatch, capsys):
+    from beamlcp import assemble, oracle
+    from beamlcp.fileio import load_problem
+
+    built = []
+
+    class Counting(oracle.SingularSupport):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    path = write_problem(tmp_path, "contact", "c6.json", n=6, seed=6)
+    monkeypatch.setattr(oracle, "SingularSupport", Counting)
+    assert main(["enumerate", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.count("singular support") == 4**6 - 3**6
+    assert built == []
+    # Reading the property builds the records.
+    result = oracle.enumerate_solutions(assemble(load_problem(path).problem), cap=12)
+    assert built == []
+    assert len(result.singular_supports) == 4**6 - 3**6
+    assert len(built) == 4**6 - 3**6
+
+
+def test_singular_lines_list_the_support_of_every_mask():
+    from beamlcp.cli import _singular_lines
+
+    assert _singular_lines(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)) == []
+    for d in range(13):
+        masks = np.arange(1 << d, dtype=np.int64)
+        consistent = masks % 3 == 1
+        want = [
+            f"singular support {[i for i in range(d) if mask >> i & 1]}: "
+            + ("consistent" if ok else "inconsistent")
+            for mask, ok in zip(masks.tolist(), consistent.tolist())
+        ]
+        assert _singular_lines(masks, consistent) == want, d
+
+
+def listed_problems():
+    """Problems whose singular supports are consistent, SVD-singular, or paired but not settled."""
+    from beamlcp import LcpProblem, assemble
+
+    paired = np.array([[2.0, 1.0], [1.0, 2.0]])
+    rng = np.random.default_rng(502)
+    contact = assemble(gen_problem("contact", 3, 2, 0))
+    return {
+        "lifted-singular-psd": LcpProblem(
+            np.block([[paired, -paired], [-paired, paired]]), [-1.0, 0.5, 1.0, -0.5]
+        ),
+        "singular-psd": LcpProblem([[1.0, -1.0], [-1.0, 1.0]], [-1.0, 1.0]),
+        "integer-n6": LcpProblem(
+            rng.integers(-1, 2, (6, 6)).astype(float), rng.integers(-2, 3, 6).astype(float)
+        ),
+        "contact-n3-x1e-09": LcpProblem(contact.M, contact.q * 1e-9),
+    }
+
+
+LISTED = listed_problems()
+
+
+@pytest.mark.parametrize("name", list(LISTED))
+def test_enumerate_prints_each_singular_support_record(tmp_path, capsys, name):
+    from beamlcp import certify_unique
+
+    problem = LISTED[name]
+    path = write_problem(tmp_path, "general", "p.json", problem=problem)
+    code = main(["enumerate", "--input", str(path)])
+    out = capsys.readouterr().out
+
+    cert = certify_unique(problem, tol=1e-8 * (1.0 + float(np.abs(problem.q).max())))
+    enum = cert.enumeration
+    assert enum.singular_supports
+    lines = [
+        f"solution (x{count}): {sol.z.tolist()}"
+        for sol, count in zip(enum.solutions, enum.multiplicities)
+    ]
+    for sing in enum.singular_supports:
+        state = "consistent" if sing.consistent else "inconsistent"
+        lines.append(f"singular support {list(sing.support)}: {state}")
+    lines.append(f"verdict: {cert.verdict.value}")
+    assert out == "\n".join(lines) + "\n"
+    assert code == {"unique": 0, "multiple": 4, "none": 3}[cert.verdict.value]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--help"], ["solve", "--help"], ["verify", "--help"], ["enumerate", "--help"], ["gen", "--help"]],

@@ -292,6 +292,19 @@ def test_working_memory_does_not_grow_with_the_block_count():
     assert peak < 4e6, peak
 
 
+def test_listing_memory_does_not_grow_with_the_singular_supports():
+    problem = assemble(gen_contact(8, np.random.default_rng(8)))
+    tracemalloc.start()
+    try:
+        result = enumerate_solutions(problem, cap=problem.n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+    assert len(result.solutions) == 1
+    assert len(result.singular_supports) == 4**8 - 3**8
+
+
 def counting_stacks(monkeypatch) -> dict:
     """Count the supports that reach the stacked singularity and consistency tests."""
     rows = {"svd": 0, "lstsq": 0}
