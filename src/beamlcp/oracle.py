@@ -31,18 +31,23 @@ inconsistent straight away.  The paired matrices of contact, beam and
 cascade problems have such a pair for every physical index, so only their
 3^n sign patterns reach the stacked calls; general problems rarely have any.
 
-Nothing here is shared with the pivoting or active-set solvers.  Only a
-consistent singular support needs an LP, so SciPy's ``linprog`` is imported
-there and nowhere else.  A problem whose singular supports all fall to the
-pair rule, as contact, beam and cascade problems at unit scales near 1 do,
-enumerates with NumPy alone; at small scales (``q`` times 1e-9) the margin
-switches the rule off, their singular supports can test consistent, and
-the LP runs.
+A consistent singular support needs no LP solver.  Over the nonnegative
+part of its family, the least and greatest coordinate sums are reached at
+vertices, that is at basic solutions (the fundamental theorem of linear
+programming), so :func:`_family_representatives` solves every basis in
+stacked NumPy calls and picks the extremes among the feasible ones.  Such
+supports occur on singular PSD problems, and on contact, beam and cascade
+problems at small unit scales (``q`` times 1e-9), where the margin switches
+the pair rule off and their paired supports test consistent.
+
+Nothing here is shared with the pivoting or active-set solvers, and the
+module needs NumPy alone.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +77,10 @@ CONSISTENCY_RTOL = 1e-8
 #: of the two rows, so 4 keeps the rule twice inside the least-squares test.
 PAIR_MARGIN = 4.0
 
-#: Consecutive support bitmasks classified together.  One stacked call per
-#: support size amortizes NumPy's per-call cost, and the working arrays stay
-#: a few MB at dimension 18 however many blocks a problem has.
+#: Consecutive support bitmasks classified together, and the bases of a
+#: family solved together.  One stacked call per support size (or chunk of
+#: bases) amortizes NumPy's per-call cost, and the working arrays stay a few
+#: MB at dimension 18 however many blocks a problem has.
 BLOCK_SIZE = 1024
 
 
@@ -157,35 +163,110 @@ def _null_basis(mss: np.ndarray) -> np.ndarray:
     return vt[s <= SINGULARITY_RTOL * s[0]].T
 
 
+def _independent_rows(a: np.ndarray, r: int) -> list[int]:
+    """``r`` independent rows of ``a``, ascending, by pivoted Gram–Schmidt.
+
+    Each step takes the row with the largest part outside the span of the
+    rows already taken (the first one on ties) and projects it out of all.
+    """
+    rest = a.copy()
+    rows = []
+    for _ in range(r):
+        i = int(np.argmax(np.einsum("ij,ij->i", rest, rest)))
+        rows.append(i)
+        u = rest[i] / np.linalg.norm(rest[i])
+        rest -= np.outer(rest @ u, u)
+    return sorted(rows)
+
+
+def _basic_solutions(a: np.ndarray, b: np.ndarray, rows: list[int], floor: float, slack: float):
+    """Nonnegative basic solutions of ``a x = b``, as stacked chunks of points.
+
+    ``rows`` are ``r`` independent rows of ``a``.  For every ``r``-column
+    subset ``B``, in lexicographic order, ``a[rows, B] x_B = b[rows]`` is
+    solved with the other entries of ``x`` at zero.  A basis is skipped when
+    the smallest singular value of ``a[rows, B]`` is at most
+    ``SINGULARITY_RTOL`` times the largest absolute row sum of ``a[rows]``.
+    A point is kept when no entry is below ``-min(floor, r eps κ max|x|)``,
+    with ``κ`` the condition number of its basis (the rounding a solve can
+    leave on an entry whose exact value is 0), and ``max|a x - b| <= slack``.
+    The bases go through one stacked SVD and one stacked solve per chunk of
+    ``BLOCK_SIZE``, and the kept points of each chunk are yielded in basis
+    order.
+    """
+    k, r = a.shape[1], len(rows)
+    if not r:  # rank 0: x = 0 is the only basic solution
+        if np.abs(b).max(initial=0.0) <= slack:
+            yield np.zeros((1, k))
+        return
+    a_r, b_r = a[rows], b[rows]
+    cut = SINGULARITY_RTOL * float(np.abs(a_r).sum(axis=1).max())
+    subsets = itertools.combinations(range(k), r)
+    while chunk := list(itertools.islice(subsets, BLOCK_SIZE)):
+        chunk = np.array(chunk, dtype=np.intp)
+        stack = a_r[:, chunk].transpose(1, 0, 2)
+        s = np.linalg.svd(stack, compute_uv=False)
+        regular = s[:, -1] > cut
+        chunk, stack, s = chunk[regular], stack[regular], s[regular]
+        x = np.zeros((chunk.shape[0], k))
+        x[np.arange(chunk.shape[0])[:, None], chunk] = np.linalg.solve(stack, b_r[:, None])[..., 0]
+        rounding = r * np.finfo(np.float64).eps * s[:, 0] / s[:, -1] * np.abs(x).max(axis=1)
+        nonnegative = (x >= -np.minimum(floor, rounding)[:, None]).all(axis=1)
+        yield x[nonnegative & (np.abs(x @ a.T - b).max(axis=1) <= slack)]
+
+
 def _family_representatives(mss: np.ndarray, q_s: np.ndarray, tol: float) -> list[np.ndarray]:
     """Candidate points from the affine solution family of a singular support.
 
-    Returns the nonnegative representative of minimum coordinate sum (when one
-    exists), the maximum-sum representative if that LP is bounded, and offsets
-    of the minimizer along each null-space direction.  Candidates may still be
+    The family's nonnegative part ``{z >= 0 : mss z = -q_s}`` is a pointed
+    polyhedron, so its coordinate sum is least (and, when it is bounded,
+    greatest) at a vertex, a basic feasible solution.  With ``r`` the rank
+    that :func:`_null_basis` decides and ``R`` ``r`` independent rows of
+    ``mss``, every ``r``-column basis is solved (:func:`_basic_solutions`);
+    a point is a vertex when its entries are nonnegative up to the solve's
+    rounding and above ``-tol``, and its residual on all rows is within
+    ``CONSISTENCY_RTOL * (1 + max|q_s|)``.
+
+    Returns the vertex of least sum (when one exists), the vertex of
+    greatest sum when the family is bounded, and offsets of the first along
+    each null-space direction; ties go to the first basis in lexicographic
+    order.  The family is unbounded exactly when ``{v >= 0 : mss v = 0}``
+    holds a ray, a basic solution of ``[mss[R]; s 1'] v = [0; s]`` on
+    ``r + 1`` columns, where ``s`` is the largest absolute row sum of
+    ``mss``.  Such a ``v`` sums to 1, so the ray tolerances are free of
+    units: entries at least ``-(r + 1) eps κ max|v|`` and
+    ``max|mss v| <= CONSISTENCY_RTOL * s``.  Candidates may still be
     infeasible for the full problem; the caller validates them.
     """
-    import scipy.optimize
-
     k = mss.shape[0]
-    lp_min = scipy.optimize.linprog(
-        np.ones(k), A_eq=mss, b_eq=-q_s, bounds=[(0, None)] * k, method="highs"
-    )
-    if not lp_min.success:
-        return []
-    reps = [np.asarray(lp_min.x, dtype=np.float64)]
-    lp_max = scipy.optimize.linprog(
-        -np.ones(k), A_eq=mss, b_eq=-q_s, bounds=[(0, None)] * k, method="highs"
-    )
-    if lp_max.success:
-        reps.append(np.asarray(lp_max.x, dtype=np.float64))
     null = _null_basis(mss)
-    base = reps[0]
-    step = 1.0 + float(np.abs(base).max(initial=0.0))
+    rows = _independent_rows(mss, k - null.shape[1])
+    slack = CONSISTENCY_RTOL * (1.0 + float(np.abs(q_s).max()))
+    lows, highs = [], []
+    for points in _basic_solutions(mss, -q_s, rows, tol, slack):
+        if points.size:
+            sums = points.sum(axis=1)
+            lows.append(points[sums.argmin()])
+            highs.append(points[sums.argmax()])
+    if not lows:
+        return []
+    low = min(lows, key=np.sum)
+    reps = [low]
+    scale = float(np.abs(mss).sum(axis=1).max()) or 1.0
+    rays = _basic_solutions(
+        np.vstack([mss, np.full(k, scale)]),
+        np.r_[np.zeros(k), scale],
+        rows + [k],
+        np.inf,
+        CONSISTENCY_RTOL * scale,
+    )
+    if not any(v.size for v in rays):
+        reps.append(max(highs, key=np.sum))
+    step = 1.0 + float(np.abs(low).max(initial=0.0))
     for col in range(null.shape[1]):
         v = null[:, col]
         for sign in (1.0, -1.0):
-            cand = base + sign * step * v
+            cand = low + sign * step * v
             if cand.min(initial=0.0) >= -tol:
                 reps.append(cand)
     return reps

@@ -1,4 +1,4 @@
-"""SciPy stays off the CLI's import path unless an LP is actually solved.
+"""The CLI never imports SciPy, not even where the oracle meets a solution family.
 
 Each case starts a fresh interpreter that runs ``python -m beamlcp.cli`` once
 per command (through ``runpy``, so the module runs exactly as ``-m`` runs it)
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from beamlcp import LcpProblem
+from beamlcp import ContactLcp, LcpProblem, assemble, certify_unique
 from beamlcp.fileio import ProblemFile, save_problem
 from beamlcp.generate import gen_problem
 
@@ -81,10 +81,24 @@ def test_cli_never_imports_scipy(tmp_path, kind):
         assert record["scipy"] == [], record
 
 
-def test_singular_psd_enumeration_loads_scipy_in_the_guard(tmp_path):
-    # The guard sees SciPy where it is really needed: a consistent singular support.
+def test_singular_psd_enumeration_loads_no_scipy(tmp_path):
+    # A consistent singular support: its family representatives need no LP.
     p = LcpProblem([[1.0, -1.0], [-1.0, 1.0]], [-1.0, 1.0])
     path = write(tmp_path, "general", p, "deg.json")
     (record,) = run_cli([["enumerate", "--input", path]])
     assert record["code"] == 4
-    assert "scipy.optimize" in record["scipy"]
+    assert record["scipy"] == [], record
+
+
+def test_small_scale_certificate_loads_no_scipy(tmp_path):
+    # With q times 1e-9 the paired supports of a contact problem test consistent.
+    p = gen_problem("contact", 4, 2, 7)
+    small = ContactLcp(p.K, 1e-9 * p.q_tilde, 1e-9 * p.y_star)
+    lcp = assemble(small)
+    tol = 1e-8 * (1.0 + float(abs(lcp.q).max()))
+    assert certify_unique(lcp, tol=tol, cap=8).enumeration.singular_consistent.any()
+    path = write(tmp_path, "contact", small, "small.json")
+    report = str(tmp_path / "report.json")
+    (record,) = run_cli([["solve", "--input", path, "--cap", "8", "--output", report]])
+    assert record["code"] == 0, record
+    assert record["scipy"] == [], record

@@ -1,8 +1,12 @@
 """The oracle agrees with the routines it replaced.
 
-``scipy.linalg`` is a reference here and only here: the smallest LU pivot
-was the singularity test and ``null_space`` the null basis.  Patching both
-back into the oracle reproduces its former enumeration exactly.
+SciPy is a test-only reference; the package itself never imports it.
+From ``scipy.linalg``, the smallest LU pivot was the singularity test and
+``null_space`` the null basis: patching both back into the oracle
+reproduces its former enumeration exactly.  From ``scipy.optimize``,
+``linprog`` found the family representatives of a consistent singular
+support: the oracle's vertices must reach the same optimal sums, and
+patching the LP representatives back in gives the same verdicts.
 
 ``loop_enumeration`` is the other reference: the per-support loop that the
 blocked, stacked enumeration replaced.  The two must agree bit for bit.
@@ -15,6 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +50,33 @@ def lu_smallest_pivots(stack: np.ndarray) -> np.ndarray:
 
 def scipy_null_basis(mss: np.ndarray) -> np.ndarray:
     return scipy.linalg.null_space(mss, rcond=oracle.SINGULARITY_RTOL)
+
+
+def lp_family(mss: np.ndarray, q_s: np.ndarray):
+    """The min-sum and max-sum LPs over ``{z >= 0 : mss z = -q_s}``, by HiGHS."""
+    k = mss.shape[0]
+    kw = dict(A_eq=mss, b_eq=-q_s, bounds=[(0, None)] * k, method="highs")
+    return scipy.optimize.linprog(np.ones(k), **kw), scipy.optimize.linprog(-np.ones(k), **kw)
+
+
+def offsets(base: np.ndarray, mss: np.ndarray, tol: float) -> list[np.ndarray]:
+    """The points ``base ± step·v`` along each null direction that stay above ``-tol``."""
+    step = 1.0 + float(np.abs(base).max(initial=0.0))
+    out = []
+    for v in oracle._null_basis(mss).T:
+        for sign in (1.0, -1.0):
+            cand = base + sign * step * v
+            if cand.min(initial=0.0) >= -tol:
+                out.append(cand)
+    return out
+
+
+def lp_representatives(mss: np.ndarray, tol: float, lp_min, lp_max) -> list[np.ndarray]:
+    """The representatives as the two LPs found them: min-sum, max-sum if bounded, offsets."""
+    if not lp_min.success:
+        return []
+    reps = [lp_min.x] + ([lp_max.x] if lp_max.success else [])
+    return reps + offsets(lp_min.x, mss, tol)
 
 
 PAIRED_K = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -417,7 +449,108 @@ def test_the_pair_rule_agrees_with_the_loop_at_its_threshold(side, monkeypatch):
     assert np.array_equal(got.z, kept[0])
 
 
-def test_a_pair_with_zero_gap_sum_reaches_the_lp(monkeypatch):
+#: HiGHS's default primal feasibility tolerance.  It is absolute, so an LP
+#: whose right-hand side is below it is solved only to within it.
+HIGHS_FEASIBILITY_TOL = 1e-7
+
+
+@pytest.mark.parametrize("name", FIXTURES + list(CASES) + list(LARGER))
+def test_family_representatives_match_the_linprog_reference(name, request, monkeypatch):
+    """Every consistent singular support's vertices reach the LP optima.
+
+    Objectives are compared, not points: where the optimal face is not a
+    single vertex the two may pick different ones.  On the ``x1e-09`` cases
+    ``max|q|`` is below HiGHS's absolute tolerance, and its optima carry
+    entries as negative as the data; there only the boundedness, the
+    representatives' own feasibility and the verdict are compared.
+    """
+    problem = LARGER[name] if name in LARGER else resolve(request, name)
+    tol = 1e-8 * (1.0 + float(np.abs(problem.q).max()))
+    resolved = float(np.abs(problem.q).max()) > HIGHS_FEASIBILITY_TOL
+    got = certify_unique(problem, tol=tol, cap=problem.n)
+    representatives = oracle._family_representatives
+    families = []
+
+    def checked(mss, q_s, tol):
+        reps = representatives(mss, q_s, tol)
+        lp_min, lp_max = lp_family(mss, q_s)
+        families.append(mss.shape[0])
+        if resolved:
+            assert bool(reps) == lp_min.success
+        if not reps:
+            return lp_representatives(mss, tol, lp_min, lp_max)
+        assert lp_max.status in (0, 3)
+        bounded = lp_max.status == 0
+        if resolved:
+            assert reps[0].sum() == pytest.approx(lp_min.fun, rel=1e-9, abs=0.0)
+            if bounded:
+                assert reps[1].sum() == pytest.approx(-lp_max.fun, rel=1e-9, abs=0.0)
+        want = offsets(reps[0], mss, tol)
+        assert len(reps) == 1 + bounded + len(want)
+        for have, expected in zip(reps[1 + bounded:], want):
+            assert np.array_equal(have, expected)
+        slack = oracle.CONSISTENCY_RTOL * (1.0 + float(np.abs(q_s).max()))
+        for rep in reps:
+            assert rep.min() >= -tol
+            assert np.abs(mss @ rep + q_s).max() <= slack
+        return lp_representatives(mss, tol, lp_min, lp_max)
+
+    monkeypatch.setattr(oracle, "_family_representatives", checked)
+    ref = certify_unique(problem, tol=tol, cap=problem.n)
+    assert got.verdict is ref.verdict
+    assert len(families) == int(got.enumeration.singular_consistent.sum())
+
+
+def test_low_rank_integer_families_reach_the_linprog_optima():
+    """Families with several vertices, rays and degenerate vertices.
+
+    ``mss`` is a product of integer factors of rank below ``k`` and ``q_s``
+    comes from an integer ``z >= 0`` with zeros, so the family is consistent
+    and nonempty and its vertices are often degenerate.
+    """
+    seen = set()
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 7))
+        r = int(rng.integers(1, k))
+        mss = (rng.integers(-2, 3, (k, r)) @ rng.integers(-2, 3, (r, k))).astype(float)
+        q_s = -(mss @ rng.integers(0, 3, k).astype(float))
+        tol = 1e-8 * (1.0 + float(np.abs(q_s).max()))
+        reps = oracle._family_representatives(mss, q_s, tol)
+        lp_min, lp_max = lp_family(mss, q_s)
+        assert lp_min.success and lp_max.status in (0, 3)
+        bounded = lp_max.status == 0
+        assert reps[0].sum() == pytest.approx(lp_min.fun, rel=1e-9, abs=1e-12), seed
+        if bounded:
+            assert reps[1].sum() == pytest.approx(-lp_max.fun, rel=1e-9, abs=1e-12), seed
+        assert len(reps) == 1 + bounded + len(offsets(reps[0], mss, tol)), seed
+        seen.add((bounded, bounded and -lp_max.fun > lp_min.fun + 1e-9))
+    # Unbounded families occur, and bounded ones whose sum is fixed or varies.
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_the_widest_family_stays_within_a_few_mb():
+    """A paired ``[[K, -K], [-K, K]]`` with ``K`` 7x7 SPD: k = 14, rank 7."""
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((7, 7))
+    spd = a.T @ a + np.eye(7)
+    mss = np.block([[spd, -spd], [-spd, spd]])
+    q_s = -(mss @ rng.uniform(0.0, 1.0, 14))
+    tol = 1e-8 * (1.0 + float(np.abs(q_s).max()))
+    lp_min, lp_max = lp_family(mss, q_s)
+    tracemalloc.start()
+    try:
+        reps = oracle._family_representatives(mss, q_s, tol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+    assert lp_max.status == 3  # the paired directions (x, x) are rays
+    assert reps[0].sum() == pytest.approx(lp_min.fun, rel=1e-9, abs=0.0)
+    assert len(reps) == 1 + len(offsets(reps[0], mss, tol))
+
+
+def test_a_pair_with_zero_gap_sum_reaches_the_family_representatives(monkeypatch):
     problem = CASES["lifted-singular-psd"]
     assert len(oracle._negated_pairs(problem)[0]) == 0
     calls = []
