@@ -107,8 +107,15 @@ def _tolerance(tol: float | None, lcp) -> float:
     return tol if tol is not None else 1e-8 * (1.0 + float(np.abs(lcp.q).max()))
 
 
+def _check_tol(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
+    """Reject a --tol that no comparison can use: NaN, infinite, zero or negative."""
+    if value is not None and not 0.0 < value < float("inf"):
+        raise click.BadParameter("must be a finite number above 0")
+    return value
+
+
 _TOL_OPTION = click.option(
-    "--tol", type=float, default=None, help="Tolerance [default: 1e-8 * (1 + max|q|)]."
+    "--tol", type=float, callback=_check_tol, help="Tolerance [default: 1e-8 * (1 + max|q|)]."
 )
 
 
@@ -144,46 +151,6 @@ def _print(lines: list[str]) -> None:
     itself, so a buffer an in-process caller swapped in would never be freed.
     """
     click.echo("\n".join(lines), file=sys.stdout)
-
-
-def _index_labels(first: int, stop: int) -> list[str]:
-    """``"i, j, ..."`` for every bitmask over the indices ``first .. stop - 1``.
-
-    Bit 0 stands for ``first``.  The labels of the masks in ``[2^b, 2^(b+1))``
-    are the labels of the masks below ``2^b`` followed by ``first + b``.
-    """
-    labels = [""]
-    for index in range(first, stop):
-        labels += [f"{low}, {index}" if low else str(index) for low in labels]
-    return labels
-
-
-def _singular_lines(masks: np.ndarray, consistent: np.ndarray) -> list[str]:
-    """``singular support [i, j, ...]: state`` for each support bitmask.
-
-    Each mask is split at half the bit length ``d`` of the largest one, and
-    each half is looked up in a label table of its own, so the tables hold
-    O(2^(d/2)) strings and each line is one concatenation of a head and a
-    tail.  A head ends with ", " when the mask has indices in both halves.
-    """
-    stop = int(masks.max(initial=0)).bit_length()
-    split = stop // 2
-    low, high = _index_labels(0, split), _index_labels(split, stop)
-    heads = np.array(
-        [
-            [f"singular support [{label}" for label in low],
-            [f"singular support [{label}, " if label else "singular support [" for label in low],
-        ],
-        dtype=object,
-    )
-    tails = np.array(
-        [[f"{label}]: inconsistent", f"{label}]: consistent"] for label in high], dtype=object
-    )
-    top = masks >> split
-    rows = np.minimum(top, 1)
-    return (
-        heads[rows, masks & ((1 << split) - 1)] + tails[top, consistent.astype(np.intp)]
-    ).tolist()
 
 
 def _fail(exc: Exception, code: int) -> int:
@@ -333,7 +300,12 @@ def cmd_enumerate(input_path, tol, cap) -> int:
         f"solution (x{count}): {sol.z.tolist()}"
         for sol, count in zip(enum.solutions, enum.multiplicities)
     ]
-    lines += _singular_lines(enum.singular_masks, enum.singular_consistent)
+    masks, consistent = enum.singular_masks, enum.singular_consistent
+    lines += [
+        f"singular support {[i for i in range(mask.bit_length()) if mask >> i & 1]}: consistent"
+        for mask in masks[consistent].tolist()
+    ]
+    lines.append(f"singular supports: {masks.size} ({int(consistent.sum())} consistent)")
     lines.append(f"verdict: {cert.verdict.value}")
     _print(lines)
     return {

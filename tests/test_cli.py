@@ -207,28 +207,18 @@ def test_enumerate_builds_no_support_records(tmp_path, monkeypatch, capsys):
     path = write_problem(tmp_path, "contact", "c6.json", n=6, seed=6)
     monkeypatch.setattr(oracle, "SingularSupport", Counting)
     assert main(["enumerate", "--input", str(path)]) == 0
-    assert capsys.readouterr().out.count("singular support") == 4**6 - 3**6
+    lines = capsys.readouterr().out.splitlines()
+    # Every paired support is singular and inconsistent: counted, not listed.
+    assert [ln for ln in lines if ln.startswith("singular supports: ")] == [
+        f"singular supports: {4**6 - 3**6} (0 consistent)"
+    ]
+    assert not any(ln.startswith("singular support [") for ln in lines)
     assert built == []
     # Reading the property builds the records.
     result = oracle.enumerate_solutions(assemble(load_problem(path).problem), cap=12)
     assert built == []
     assert len(result.singular_supports) == 4**6 - 3**6
     assert len(built) == 4**6 - 3**6
-
-
-def test_singular_lines_list_the_support_of_every_mask():
-    from beamlcp.cli import _singular_lines
-
-    assert _singular_lines(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)) == []
-    for d in range(13):
-        masks = np.arange(1 << d, dtype=np.int64)
-        consistent = masks % 3 == 1
-        want = [
-            f"singular support {[i for i in range(d) if mask >> i & 1]}: "
-            + ("consistent" if ok else "inconsistent")
-            for mask, ok in zip(masks.tolist(), consistent.tolist())
-        ]
-        assert _singular_lines(masks, consistent) == want, d
 
 
 def listed_problems():
@@ -269,12 +259,50 @@ def test_enumerate_prints_each_singular_support_record(tmp_path, capsys, name):
         f"solution (x{count}): {sol.z.tolist()}"
         for sol, count in zip(enum.solutions, enum.multiplicities)
     ]
-    for sing in enum.singular_supports:
-        state = "consistent" if sing.consistent else "inconsistent"
-        lines.append(f"singular support {list(sing.support)}: {state}")
+    consistent = [sing for sing in enum.singular_supports if sing.consistent]
+    lines += [f"singular support {list(sing.support)}: consistent" for sing in consistent]
+    lines.append(f"singular supports: {len(enum.singular_supports)} ({len(consistent)} consistent)")
     lines.append(f"verdict: {cert.verdict.value}")
     assert out == "\n".join(lines) + "\n"
     assert code == {"unique": 0, "multiple": 4, "none": 3}[cert.verdict.value]
+
+
+#: The prefixes every line of ``enumerate`` starts with.  The benchmark judge
+#: reads each line starting with ``solution`` as a solution and the last
+#: ``verdict:`` line as the verdict, so no other line may start with either.
+ENUMERATE_PREFIXES = ("solution (x", "singular support [", "singular supports: ", "verdict: ")
+
+
+@pytest.mark.parametrize("name", [*LISTED, "contact", "beam", "cascade"])
+def test_enumerate_prints_only_the_lines_of_its_contract(tmp_path, capsys, name):
+    if name in LISTED:
+        path = write_problem(tmp_path, "general", "p.json", problem=LISTED[name])
+    else:
+        path = write_problem(tmp_path, name, "p.json", n=3, t=2, seed=4)
+    main(["enumerate", "--input", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert all(ln.startswith(ENUMERATE_PREFIXES) for ln in lines), lines
+    assert sum(ln.startswith("singular supports: ") for ln in lines) == 1
+    assert lines[-1].startswith("verdict: ")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["solve", "verify", "enumerate"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, command, tol):
+    path = tmp_path / "c.json"
+    assert main(["gen", "--kind", "contact", "--n", "3", "--seed", "1", "--output", str(path)]) == 0
+    report = tmp_path / "report.json"
+    assert main(["solve", "--input", str(path), "--solver", "pgs", "--output", str(report)]) == 0
+    argv = [command, "--input", str(path)]
+    if command == "verify":
+        argv += ["--output", str(report)]
+    capsys.readouterr()
+    assert main([*argv, "--tol", "1e-8"]) == 0
+    assert capsys.readouterr().out
+    assert main([*argv, "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Invalid value for '--tol'" in captured.err
 
 
 @pytest.mark.parametrize(
