@@ -287,7 +287,7 @@ def cmd_verify(input_path, solution_path, tol) -> int:
 @_TOL_OPTION
 @click.option("--cap", type=int, default=14, show_default=True)
 def cmd_enumerate(input_path, tol, cap) -> int:
-    """Enumerate all solutions by complementary support and classify uniqueness."""
+    """List the isolated solutions and up to two points per family; classify uniqueness."""
     try:
         pf = fileio.load_problem(input_path)
         _, lcp, _, _ = _structure(pf)
@@ -325,7 +325,7 @@ def cmd_enumerate(input_path, tol, cap) -> int:
     show_default=True,
     help="Block count (cascade only).",
 )
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--output", "output_path", default=None, help="Write here instead of stdout.")
 def cmd_gen(kind, n, t, seed, output_path) -> int:
     """Generate a deterministic pseudo-random problem file."""

@@ -3,9 +3,9 @@
 For each of the 2^n complementary supports S the linear system
 M[S,S] z_S = -q_S is solved and the resulting point validated against the
 full problem.  Singular supports are probed for consistency; a consistent
-singular support carries a whole affine family of candidates, and feasible
-representatives of that family are genuine solutions (M z is constant along
-the family, so w is shared by all members).
+singular support carries a whole affine family of candidates, and every
+point of its feasible part (``z_S >= 0`` and ``w >= 0`` off the support) is
+a solution, with ``w = 0`` on the support.
 
 Supports are handled in blocks of ``BLOCK_SIZE`` consecutive bitmasks.
 Within a block the supports of each size are gathered into stacked arrays
@@ -16,7 +16,7 @@ matrix as a per-support loop, so the singular/nonsingular split and the
 solved points are bit-identical to that loop; the consistency test forms
 ``lstsq``'s minimum-norm solution from the SVD.  A vectorized screen then
 drops every point that :func:`validate` would certainly reject.  Only the
-survivors and the family representatives are validated and deduplicated,
+survivors and the family points are validated and deduplicated,
 one by one in ascending mask order.  Singular supports are kept as two
 arrays, their bitmasks in ascending order and a consistency flag each, with
 no object per support; ``EnumerationResult.singular_supports`` builds
@@ -31,11 +31,9 @@ inconsistent straight away.  The paired matrices of contact, beam and
 cascade problems have such a pair for every physical index, so only their
 3^n sign patterns reach the stacked calls; general problems rarely have any.
 
-A consistent singular support needs no LP solver.  Over the nonnegative
-part of its family, the least and greatest coordinate sums are reached at
-vertices, that is at basic solutions (the fundamental theorem of linear
-programming), so :func:`_family_representatives` solves every basis in
-stacked NumPy calls and picks the extremes among the feasible ones.  Such
+A consistent singular support needs no LP solver: :func:`_family_points`
+solves the bases of its family's feasible part in stacked NumPy calls and
+returns at most two points, one when that part is a single point.  Such
 supports occur on singular PSD problems, and on contact, beam and cascade
 problems at small unit scales (``q`` times 1e-9), where the margin switches
 the pair rule off and their paired supports test consistent.
@@ -65,7 +63,8 @@ __all__ = [
 ]
 
 #: Relative threshold on the smallest singular value below which a support
-#: submatrix is treated as singular; also the rank cut-off of its null space.
+#: submatrix is treated as singular; also the cut-off of the singular values
+#: that count towards its rank in :func:`_family_points`.
 SINGULARITY_RTOL = 1e-10
 
 #: Relative residual threshold for declaring a singular system consistent.
@@ -92,7 +91,7 @@ class SingularSupport:
 
 @dataclass(frozen=True, eq=False)
 class EnumerationResult:
-    """All solutions (deduplicated, in support-bitmask order) plus diagnostics.
+    """Isolated solutions and up to two points per family (deduplicated, in mask order).
 
     The singular supports are kept as arrays: ``singular_masks`` holds their
     bitmasks in ascending order (bit ``i`` set when index ``i`` is in the
@@ -156,15 +155,8 @@ def _lstsq_consistent(stack: np.ndarray, q_s: np.ndarray) -> np.ndarray:
     return residual <= CONSISTENCY_RTOL * (1.0 + np.abs(q_s).max(axis=1))
 
 
-def _null_basis(mss: np.ndarray) -> np.ndarray:
-    """Orthonormal null-space basis (as columns): right singular vectors whose
-    singular values are at most ``SINGULARITY_RTOL`` times the largest."""
-    _, s, vt = np.linalg.svd(mss)
-    return vt[s <= SINGULARITY_RTOL * s[0]].T
-
-
 def _independent_rows(a: np.ndarray, r: int) -> list[int]:
-    """``r`` independent rows of ``a``, ascending, by pivoted Gram–Schmidt.
+    """``r`` independent rows of ``a``, in the order taken, by pivoted Gram–Schmidt.
 
     Each step takes the row with the largest part outside the span of the
     rows already taken (the first one on ties) and projects it out of all.
@@ -176,7 +168,7 @@ def _independent_rows(a: np.ndarray, r: int) -> list[int]:
         rows.append(i)
         u = rest[i] / np.linalg.norm(rest[i])
         rest -= np.outer(rest @ u, u)
-    return sorted(rows)
+    return rows
 
 
 def _basic_solutions(a: np.ndarray, b: np.ndarray, rows: list[int], floor: float, slack: float):
@@ -215,61 +207,39 @@ def _basic_solutions(a: np.ndarray, b: np.ndarray, rows: list[int], floor: float
         yield x[nonnegative & (np.abs(x @ a.T - b).max(axis=1) <= slack)]
 
 
-def _family_representatives(mss: np.ndarray, q_s: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Candidate points from the affine solution family of a singular support.
+def _family_points(problem: LcpProblem, idx: np.ndarray, tol: float) -> list[np.ndarray]:
+    """At most two solutions from the family of the consistent singular support ``idx``.
 
-    The family's nonnegative part ``{z >= 0 : mss z = -q_s}`` is a pointed
-    polyhedron, so its coordinate sum is least (and, when it is bounded,
-    greatest) at a vertex, a basic feasible solution.  With ``r`` the rank
-    that :func:`_null_basis` decides and ``R`` ``r`` independent rows of
-    ``mss``, every ``r``-column basis is solved (:func:`_basic_solutions`);
-    a point is a vertex when its entries are nonnegative up to the solve's
-    rounding and above ``-tol``, and its residual on all rows is within
-    ``CONSISTENCY_RTOL * (1 + max|q_s|)``.
-
-    Returns the vertex of least sum (when one exists), the vertex of
-    greatest sum when the family is bounded, and offsets of the first along
-    each null-space direction; ties go to the first basis in lexicographic
-    order.  The family is unbounded exactly when ``{v >= 0 : mss v = 0}``
-    holds a ray, a basic solution of ``[mss[R]; s 1'] v = [0; s]`` on
-    ``r + 1`` columns, where ``s`` is the largest absolute row sum of
-    ``mss``.  Such a ``v`` sums to 1, so the ray tolerances are free of
-    units: entries at least ``-(r + 1) eps κ max|v|`` and
-    ``max|mss v| <= CONSISTENCY_RTOL * s``.  Candidates may still be
-    infeasible for the full problem; the caller validates them.
+    Its feasible part is ``P_S = {y >= 0 : a y = -q}``, column ``i`` of ``a`` being
+    ``M[:, i]`` on ``S`` and ``-e_i`` off it (``y`` is ``z`` on ``S``, ``w`` off it), and all
+    of it solves the LCP.  Its vertices are the basic solutions on ``rank M[S, S]``
+    independent rows of ``M[S, S]`` plus the other rows; with the row ``s * sum(v_S) = s``
+    (``s`` the largest row sum of ``|a|``), those of ``a v = 0`` are its rays.  ``P_S`` is
+    pointed, so this returns nothing, its first vertex, the first two vertices more than
+    ``tol`` apart, or the first vertex and a step along a ray.
     """
-    k = mss.shape[0]
-    null = _null_basis(mss)
-    rows = _independent_rows(mss, k - null.shape[1])
-    slack = CONSISTENCY_RTOL * (1.0 + float(np.abs(q_s).max()))
-    lows, highs = [], []
-    for points in _basic_solutions(mss, -q_s, rows, tol, slack):
-        if points.size:
-            sums = points.sum(axis=1)
-            lows.append(points[sums.argmin()])
-            highs.append(points[sums.argmax()])
-    if not lows:
+    n, q = problem.n, problem.q
+    on = np.zeros(n, dtype=bool)
+    on[idx] = True
+    mss = problem.M[np.ix_(idx, idx)]
+    s = np.linalg.svd(mss, compute_uv=False)
+    rank = int((s > SINGULARITY_RTOL * s[0]).sum())
+    rows = sorted([*idx[_independent_rows(mss, rank)], *np.flatnonzero(~on)])
+    a = np.where(on, problem.M, -np.eye(n))
+    basic = _basic_solutions(a, -q, rows, tol, CONSISTENCY_RTOL * (1.0 + float(np.abs(q).max())))
+    z = np.where(on, np.vstack([np.empty((0, n)), *basic]), 0.0)
+    if not len(z):
         return []
-    low = min(lows, key=np.sum)
-    reps = [low]
-    scale = float(np.abs(mss).sum(axis=1).max()) or 1.0
-    rays = _basic_solutions(
-        np.vstack([mss, np.full(k, scale)]),
-        np.r_[np.zeros(k), scale],
-        rows + [k],
-        np.inf,
-        CONSISTENCY_RTOL * scale,
-    )
-    if not any(v.size for v in rays):
-        reps.append(max(highs, key=np.sum))
-    step = 1.0 + float(np.abs(low).max(initial=0.0))
-    for col in range(null.shape[1]):
-        v = null[:, col]
-        for sign in (1.0, -1.0):
-            cand = low + sign * step * v
-            if cand.min(initial=0.0) >= -tol:
-                reps.append(cand)
-    return reps
+    apart = np.flatnonzero(np.abs(z - z[0]).max(axis=1) > tol)
+    if apart.size:
+        return list(z[[0, apart[0]]])
+    scale = float(np.abs(a).sum(axis=1).max()) or 1.0
+    rays = _basic_solutions(np.vstack([a, scale * on]), np.append(np.zeros(n), scale), rows + [n],
+                            np.inf, CONSISTENCY_RTOL * scale)
+    ray = next((np.where(on, v[0], 0.0) for v in rays if len(v)), None)
+    if ray is None:
+        return [z[0].copy()]
+    return [z[0].copy(), z[0] + (1.0 + float(np.abs(z[0]).max())) * ray]
 
 
 def _screen(problem: LcpProblem, z: np.ndarray, tol: float) -> np.ndarray:
@@ -310,10 +280,10 @@ def _block_outcomes(
     ``singular`` and ``consistent`` are boolean arrays over ``masks`` (a
     nonsingular support is not consistent).  ``candidates`` are the
     full-length points still to validate, in ascending mask order: the
-    screened solution of each nonsingular support and the family
-    representatives of each consistent singular one.  A support that holds
-    one of ``pairs`` is singular and inconsistent with no candidates.  The
-    other supports of one size share one stacked SVD, solve and screen.
+    screened solution of each nonsingular support and the family points of
+    each consistent singular one.  A support that holds one of ``pairs`` is
+    singular and inconsistent with no candidates.  The other supports of one
+    size share one stacked SVD, solve and screen.
     """
     n = problem.n
     bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
@@ -345,12 +315,7 @@ def _block_outcomes(
             ok = _lstsq_consistent(mss[sg], q_s[sg])
             consistent[rows[sg]] = ok
             for j in sg[ok].tolist():
-                reps = []
-                for rep in _family_representatives(mss[j], q_s[j], tol):
-                    z = np.zeros(n)
-                    z[idx[j]] = rep
-                    reps.append(z)
-                found.append((rows[j], reps))
+                found.append((rows[j], _family_points(problem, idx[j], tol)))
     found.sort(key=lambda item: item[0])
     return singular, consistent, [z for _, points in found for z in points]
 
@@ -409,10 +374,9 @@ def enumerate_solutions(
 def certify_unique(problem: LcpProblem, tol: float = 1e-9, cap: int = 14) -> CertifyResult:
     """Classify the solution set as unique, multiple, or empty.
 
-    Consistent singular supports contribute through their validated family
-    representatives (already folded into the enumeration); a support whose
-    family never intersects the feasible region does not, by itself, spoil
-    uniqueness.
+    Consistent singular supports contribute their validated family points
+    (already folded into the enumeration): two when the family's feasible
+    part is a segment or ray of solutions, none when it is empty.
     """
     result = enumerate_solutions(problem, tol=tol, cap=cap)
     if len(result.solutions) == 0:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,3 +72,21 @@ def degenerate_2d() -> LcpProblem:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260814)
+
+
+def _exact_solution(m, q, z) -> list[Fraction]:
+    """``z`` rounded to fractions with denominator at most 1000, checked as an exact solution."""
+    zf = [Fraction(x).limit_denominator(1000) for x in z]
+    w = [
+        Fraction(qi) + sum(Fraction(mij) * zj for mij, zj in zip(row, zf))
+        for qi, row in zip(q, m)
+    ]
+    assert min(zf) >= 0 and min(w) >= 0
+    assert all(zi * wi == 0 for zi, wi in zip(zf, w))
+    return zf
+
+
+@pytest.fixture
+def exact_solution():
+    """Check a float ``z`` as an exact solution of ``(M, q)`` (nested lists of floats)."""
+    return _exact_solution

@@ -182,6 +182,20 @@ def test_enumerate_none(infeasible_file, capsys):
     assert "verdict: none" in text
 
 
+def test_enumerate_finds_a_ray_of_solutions(tmp_path, capsys, exact_solution):
+    """Every ``(t, 0, 1/2)`` with ``t >= 2`` solves it; two listed points are checked exactly."""
+    from beamlcp import LcpProblem
+
+    m = [[0.0, -1.0, 0.0], [1.0, 5.0, 0.0], [0.0, 2.0, 2.0]]
+    q = [0.0, -2.0, -1.0]
+    path = write_problem(tmp_path, "general", "ray.json", problem=LcpProblem(m, q))
+    assert main(["enumerate", "--input", str(path)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "verdict: multiple"
+    points = [json.loads(ln.split(": ", 1)[1]) for ln in lines if ln.startswith("solution ")]
+    assert exact_solution(m, q, points[0]) != exact_solution(m, q, points[1])
+
+
 def test_enumerate_releases_a_swapped_in_stdout(degenerate_file):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -359,6 +373,13 @@ def test_gen_then_solve_round_trip(tmp_path, kind):
 
 def test_gen_rejects_unknown_kind(tmp_path):
     assert main(["gen", "--kind", "mesh", "--output", str(tmp_path / "x.json")]) == 1
+
+
+def test_gen_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["gen", "--kind", "contact", "--seed", "-1", "--output", str(out)]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_no_arguments_shows_usage():

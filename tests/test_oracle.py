@@ -111,3 +111,31 @@ def test_every_reported_solution_validates(rng):
         res = enumerate_solutions(p, tol=1e-9)
         for sol in res.solutions:
             assert validate(p, sol.z, tol=1e-9 * (1.0 + np.max(np.abs(p.q)))).solved
+
+
+def integer_n6_s500() -> LcpProblem:
+    rng = np.random.default_rng(500)
+    m = rng.integers(-1, 2, (6, 6)).astype(float)
+    return LcpProblem(m, rng.integers(-2, 3, 6).astype(float))
+
+
+RAY_PROBLEMS = {
+    # (t, 0) solves it for every t >= 2.
+    "2x2": LcpProblem([[0.0, -1.0], [1.0, 1.0]], [0.0, -2.0]),
+    # (t, 0, 1/2) solves it for every t >= 2.
+    "3x3": LcpProblem([[0.0, -1.0, 0.0], [1.0, 5.0, 0.0], [0.0, 2.0, 2.0]], [0.0, -2.0, -1.0]),
+    # (0, 0, 0, 2, 3, 3) and (0, 0, 0, 10, 11, 11) both solve it.
+    "integer-n6-s500": integer_n6_s500(),
+}
+
+
+@pytest.mark.parametrize("name", list(RAY_PROBLEMS))
+def test_a_family_whose_feasible_part_is_a_ray_makes_the_solution_multiple(name, exact_solution):
+    """The singular support's family meets the other rows' ``w >= 0`` in a ray or segment."""
+    p = RAY_PROBLEMS[name]
+    res = certify_unique(p, tol=1e-8 * (1.0 + float(np.abs(p.q).max())))
+    assert res.verdict is Verdict.MULTIPLE
+    first, second = (
+        exact_solution(p.M.tolist(), p.q.tolist(), sol.z) for sol in res.enumeration.solutions[:2]
+    )
+    assert first != second

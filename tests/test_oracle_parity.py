@@ -1,12 +1,16 @@
-"""The oracle agrees with the routines it replaced.
+"""The oracle agrees with the routines it replaced and with LP references.
 
 SciPy is a test-only reference; the package itself never imports it.
-From ``scipy.linalg``, the smallest LU pivot was the singularity test and
-``null_space`` the null basis: patching both back into the oracle
-reproduces its former enumeration exactly.  From ``scipy.optimize``,
-``linprog`` found the family representatives of a consistent singular
-support: the oracle's vertices must reach the same optimal sums, and
-patching the LP representatives back in gives the same verdicts.
+From ``scipy.linalg``, the smallest LU pivot was the singularity test:
+patching it back into the oracle reproduces its enumeration exactly, and
+``null_space`` at the oracle's cut-off gives the rank of ``M_SS`` that the
+family search works with.  From ``scipy.optimize``, HiGHS checks the
+family search: the feasible part ``P_S`` of a consistent singular support's
+family is empty exactly when its LP is infeasible, and a single point
+exactly when no coordinate of ``z`` spreads over it.  HiGHS is also the
+independent referee on PSD and skew-PSD integer LCPs: their solution set is
+a polyhedron (Mangasarian 1988), so LPs over it say whether the solution is
+unique, with no use of the oracle beyond one of its solutions.
 
 ``loop_enumeration`` is the other reference: the per-support loop that the
 blocked, stacked enumeration replaced.  The two must agree bit for bit.
@@ -48,35 +52,28 @@ def lu_smallest_pivots(stack: np.ndarray) -> np.ndarray:
     return np.array([lu_smallest_pivot(mss) for mss in stack])
 
 
-def scipy_null_basis(mss: np.ndarray) -> np.ndarray:
-    return scipy.linalg.null_space(mss, rcond=oracle.SINGULARITY_RTOL)
+def lp_feasible_part(problem: LcpProblem, idx: np.ndarray) -> dict:
+    """``linprog`` keywords for ``P_S = {z_S >= 0 : M_SS z_S = -q_S, q_Sc + M_Sc,S z_S >= 0}``."""
+    rest = np.setdiff1d(np.arange(problem.n), idx)
+    m, q = problem.M, problem.q
+    return dict(
+        A_eq=m[np.ix_(idx, idx)], b_eq=-q[idx],
+        A_ub=-m[np.ix_(rest, idx)], b_ub=q[rest],
+        bounds=[(0, None)] * idx.size, method="highs",
+    )
 
 
-def lp_family(mss: np.ndarray, q_s: np.ndarray):
-    """The min-sum and max-sum LPs over ``{z >= 0 : mss z = -q_s}``, by HiGHS."""
-    k = mss.shape[0]
-    kw = dict(A_eq=mss, b_eq=-q_s, bounds=[(0, None)] * k, method="highs")
-    return scipy.optimize.linprog(np.ones(k), **kw), scipy.optimize.linprog(-np.ones(k), **kw)
-
-
-def offsets(base: np.ndarray, mss: np.ndarray, tol: float) -> list[np.ndarray]:
-    """The points ``base ± step·v`` along each null direction that stay above ``-tol``."""
-    step = 1.0 + float(np.abs(base).max(initial=0.0))
-    out = []
-    for v in oracle._null_basis(mss).T:
-        for sign in (1.0, -1.0):
-            cand = base + sign * step * v
-            if cand.min(initial=0.0) >= -tol:
-                out.append(cand)
-    return out
-
-
-def lp_representatives(mss: np.ndarray, tol: float, lp_min, lp_max) -> list[np.ndarray]:
-    """The representatives as the two LPs found them: min-sum, max-sum if bounded, offsets."""
-    if not lp_min.success:
-        return []
-    reps = [lp_min.x] + ([lp_max.x] if lp_max.success else [])
-    return reps + offsets(lp_min.x, mss, tol)
+def spread(kw: dict, k: int) -> float:
+    """The largest ``max z_i - min z_i`` over the LP's feasible set; inf when unbounded."""
+    widest = 0.0
+    for i in range(k):
+        c = np.eye(k)[i]
+        low, high = scipy.optimize.linprog(c, **kw), scipy.optimize.linprog(-c, **kw)
+        if 3 in (low.status, high.status):
+            return np.inf
+        assert low.status == high.status == 0
+        widest = max(widest, -high.fun - low.fun)
+    return widest
 
 
 PAIRED_K = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -146,14 +143,12 @@ def test_svd_and_lu_classify_every_support_alike(problem):
 def test_enumeration_matches_the_scipy_reference(problem, monkeypatch):
     new = certify_unique(problem)
     monkeypatch.setattr(oracle, "_smallest_singular_values", lu_smallest_pivots)
-    monkeypatch.setattr(oracle, "_null_basis", scipy_null_basis)
     ref = certify_unique(problem)
 
     assert new.verdict is ref.verdict
     assert new.enumeration.singular_supports == ref.enumeration.singular_supports
     got, want = new.enumeration, ref.enumeration
     assert len(got.solutions) == len(want.solutions)
-    # A null vector may come out with the other sign, which only reorders candidates.
     for sol, count in zip(got.solutions, got.multiplicities):
         tol = 1e-12 * (1.0 + float(np.abs(sol.z).max()))
         matches = [
@@ -163,22 +158,40 @@ def test_enumeration_matches_the_scipy_reference(problem, monkeypatch):
         assert matches == [count], sol.z
 
 
+def sliver(s_min: float) -> np.ndarray:
+    """A 3x3 matrix with singular values 3, 1 and ``s_min``."""
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return u @ np.diag([3.0, 1.0, s_min]) @ v.T
+
+
 @pytest.mark.parametrize(
     "mss",
     [
         np.array([[1.0, -1.0], [-1.0, 1.0]]),
         np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.0], [2.0, 2.0]])
         @ np.array([[1.0, 0.0, -2.0, 1.0], [0.0, 1.0, 1.0, 3.0]]),
+        sliver(0.5 * 3.0 * oracle.SINGULARITY_RTOL),
+        sliver(2.0 * 3.0 * oracle.SINGULARITY_RTOL),
     ],
-    ids=["singular-psd", "rank-2-of-4"],
+    ids=["singular-psd", "rank-2-of-4", "below-the-cut", "above-the-cut"],
 )
-def test_null_basis_spans_the_scipy_null_space(mss):
-    got = oracle._null_basis(mss)
-    want = scipy_null_basis(mss)
-    assert got.shape == want.shape
-    assert np.allclose(got.T @ got, np.eye(got.shape[1]), rtol=0, atol=1e-12)
-    assert np.allclose(got @ got.T, want @ want.T, rtol=0, atol=1e-12)
-    assert np.abs(mss @ got).max() <= 1e-12 * np.abs(mss).max()
+def test_family_rank_matches_the_scipy_null_space(mss, monkeypatch):
+    """The family search keeps one row of ``M_SS`` per singular value above the cut-off."""
+    ranks = []
+    independent_rows = oracle._independent_rows
+
+    def recorded(a, r):
+        ranks.append(r)
+        return independent_rows(a, r)
+
+    monkeypatch.setattr(oracle, "_independent_rows", recorded)
+    k = mss.shape[0]
+    problem = LcpProblem(mss, -(mss @ np.ones(k)))
+    points = oracle._family_points(problem, np.arange(k), 1e-9)
+    assert ranks == [k - scipy.linalg.null_space(mss, rcond=oracle.SINGULARITY_RTOL).shape[1]]
+    assert points and all(validate(problem, z, 1e-8).solved for z in points)
 
 
 def loop_enumeration(problem: LcpProblem, tol: float, check=validate):
@@ -214,9 +227,7 @@ def loop_enumeration(problem: LcpProblem, tol: float, check=validate):
             consistent = residual <= oracle.CONSISTENCY_RTOL * (1.0 + float(np.abs(q_s).max()))
             singulars.append(oracle.SingularSupport(tuple(support), consistent))
             if consistent:
-                for rep in oracle._family_representatives(mss, q_s, tol):
-                    z = np.zeros(n)
-                    z[s] = rep
+                for z in oracle._family_points(problem, s, tol):
                     consider(z)
             continue
         z = np.zeros(n)
@@ -454,114 +465,173 @@ def test_the_pair_rule_agrees_with_the_loop_at_its_threshold(side, monkeypatch):
 HIGHS_FEASIBILITY_TOL = 1e-7
 
 
+def check_family(problem: LcpProblem, idx: np.ndarray, points: list, tol: float, lp: bool):
+    """``points`` are what ``_family_points`` may return for the support ``idx``.
+
+    At most two solutions, with zeros off the support and ``w = 0`` on it up to
+    the consistency slack, more than ``tol`` apart.  With ``lp``, HiGHS finds
+    ``P_S`` nonempty exactly when there are points, and a single point (no
+    spread in ``z``) exactly when there is one.
+    """
+    assert len(points) <= 2
+    slack = oracle.CONSISTENCY_RTOL * (1.0 + float(np.abs(problem.q).max()))
+    rest = np.setdiff1d(np.arange(problem.n), idx)
+    for z in points:
+        assert validate(problem, z, tol).solved
+        assert not z[rest].any()
+        assert np.abs(assemble_w(problem, z)[idx]).max() <= 4 * slack
+    if len(points) == 2:
+        assert np.abs(points[0] - points[1]).max() > tol
+    if not lp:
+        return
+    kw = lp_feasible_part(problem, idx)
+    feasible = scipy.optimize.linprog(np.zeros(idx.size), **kw)
+    assert feasible.status == (0 if points else 2)
+    if len(points) == 1:
+        assert spread(kw, idx.size) <= 1e-9 * (1.0 + float(np.abs(points[0]).max()))
+
+
 @pytest.mark.parametrize("name", FIXTURES + list(CASES) + list(LARGER))
 def test_family_representatives_match_the_linprog_reference(name, request, monkeypatch):
-    """Every consistent singular support's vertices reach the LP optima.
+    """Every consistent singular support's points agree with HiGHS over its ``P_S``.
 
-    Objectives are compared, not points: where the optimal face is not a
-    single vertex the two may pick different ones.  On the ``x1e-09`` cases
-    ``max|q|`` is below HiGHS's absolute tolerance, and its optima carry
-    entries as negative as the data; there only the boundedness, the
-    representatives' own feasibility and the verdict are compared.
+    On the ``x1e-09`` cases ``max|q|`` is below HiGHS's absolute tolerance,
+    so there only the points themselves are checked.
     """
     problem = LARGER[name] if name in LARGER else resolve(request, name)
     tol = 1e-8 * (1.0 + float(np.abs(problem.q).max()))
     resolved = float(np.abs(problem.q).max()) > HIGHS_FEASIBILITY_TOL
-    got = certify_unique(problem, tol=tol, cap=problem.n)
-    representatives = oracle._family_representatives
+    family_points = oracle._family_points
     families = []
 
-    def checked(mss, q_s, tol):
-        reps = representatives(mss, q_s, tol)
-        lp_min, lp_max = lp_family(mss, q_s)
-        families.append(mss.shape[0])
-        if resolved:
-            assert bool(reps) == lp_min.success
-        if not reps:
-            return lp_representatives(mss, tol, lp_min, lp_max)
-        assert lp_max.status in (0, 3)
-        bounded = lp_max.status == 0
-        if resolved:
-            assert reps[0].sum() == pytest.approx(lp_min.fun, rel=1e-9, abs=0.0)
-            if bounded:
-                assert reps[1].sum() == pytest.approx(-lp_max.fun, rel=1e-9, abs=0.0)
-        want = offsets(reps[0], mss, tol)
-        assert len(reps) == 1 + bounded + len(want)
-        for have, expected in zip(reps[1 + bounded:], want):
-            assert np.array_equal(have, expected)
-        slack = oracle.CONSISTENCY_RTOL * (1.0 + float(np.abs(q_s).max()))
-        for rep in reps:
-            assert rep.min() >= -tol
-            assert np.abs(mss @ rep + q_s).max() <= slack
-        return lp_representatives(mss, tol, lp_min, lp_max)
+    def checked(problem, idx, tol):
+        points = family_points(problem, idx, tol)
+        check_family(problem, idx, points, tol, resolved)
+        families.append(len(points))
+        return points
 
-    monkeypatch.setattr(oracle, "_family_representatives", checked)
-    ref = certify_unique(problem, tol=tol, cap=problem.n)
-    assert got.verdict is ref.verdict
+    monkeypatch.setattr(oracle, "_family_points", checked)
+    got = certify_unique(problem, tol=tol, cap=problem.n)
     assert len(families) == int(got.enumeration.singular_consistent.sum())
 
 
-def test_low_rank_integer_families_reach_the_linprog_optima():
-    """Families with several vertices, rays and degenerate vertices.
+def low_rank_family(seed: int) -> tuple[LcpProblem, np.ndarray]:
+    """An integer ``M`` of rank below ``n`` and a support ``S`` on which ``M_SS`` is singular."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    r = int(rng.integers(1, n))
+    m = (rng.integers(-2, 3, (n, r)) @ rng.integers(-2, 3, (r, n))).astype(float)
+    idx = np.flatnonzero(rng.random(n) < 0.7)
+    if idx.size == 0:
+        idx = np.arange(n)
+    z = np.zeros(n)
+    z[idx] = rng.integers(0, 3, idx.size)
+    w = rng.integers(-1, 3, n).astype(float)
+    w[idx] = 0.0
+    return LcpProblem(m, w - m @ z), idx
 
-    ``mss`` is a product of integer factors of rank below ``k`` and ``q_s``
-    comes from an integer ``z >= 0`` with zeros, so the family is consistent
-    and nonempty and its vertices are often degenerate.
+
+def test_low_rank_integer_families_match_the_linprog_spread():
+    """Families that are empty, a single point, segments and rays.
+
+    ``M`` is a product of integer factors of rank below ``n``, so ``M_SS`` is
+    singular, and ``q`` comes from an integer ``z >= 0`` on ``S`` whose ``w``
+    may be negative off it, so ``P_S`` may be empty.
     """
     seen = set()
     for seed in range(300):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(2, 7))
-        r = int(rng.integers(1, k))
-        mss = (rng.integers(-2, 3, (k, r)) @ rng.integers(-2, 3, (r, k))).astype(float)
-        q_s = -(mss @ rng.integers(0, 3, k).astype(float))
-        tol = 1e-8 * (1.0 + float(np.abs(q_s).max()))
-        reps = oracle._family_representatives(mss, q_s, tol)
-        lp_min, lp_max = lp_family(mss, q_s)
-        assert lp_min.success and lp_max.status in (0, 3)
-        bounded = lp_max.status == 0
-        assert reps[0].sum() == pytest.approx(lp_min.fun, rel=1e-9, abs=1e-12), seed
-        if bounded:
-            assert reps[1].sum() == pytest.approx(-lp_max.fun, rel=1e-9, abs=1e-12), seed
-        assert len(reps) == 1 + bounded + len(offsets(reps[0], mss, tol)), seed
-        seen.add((bounded, bounded and -lp_max.fun > lp_min.fun + 1e-9))
-    # Unbounded families occur, and bounded ones whose sum is fixed or varies.
-    assert seen == {(False, False), (True, False), (True, True)}
+        problem, idx = low_rank_family(seed)
+        tol = 1e-8 * (1.0 + float(np.abs(problem.q).max()))
+        points = oracle._family_points(problem, idx, tol)
+        check_family(problem, idx, points, tol, lp=True)
+        seen.add(len(points))
+    assert seen == {0, 1, 2}
 
 
 def test_the_widest_family_stays_within_a_few_mb():
-    """A paired ``[[K, -K], [-K, K]]`` with ``K`` 7x7 SPD: k = 14, rank 7."""
+    """A paired ``[[K, -K], [-K, K]]`` with ``K`` 7x7 SPD: k = n = 14, rank 7, 3432 bases."""
     rng = np.random.default_rng(14)
     a = rng.standard_normal((7, 7))
     spd = a.T @ a + np.eye(7)
     mss = np.block([[spd, -spd], [-spd, spd]])
-    q_s = -(mss @ rng.uniform(0.0, 1.0, 14))
-    tol = 1e-8 * (1.0 + float(np.abs(q_s).max()))
-    lp_min, lp_max = lp_family(mss, q_s)
+    problem = LcpProblem(mss, -(mss @ rng.uniform(0.0, 1.0, 14)))
+    tol = 1e-8 * (1.0 + float(np.abs(problem.q).max()))
     tracemalloc.start()
     try:
-        reps = oracle._family_representatives(mss, q_s, tol)
+        points = oracle._family_points(problem, np.arange(14), tol)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4e6, peak
-    assert lp_max.status == 3  # the paired directions (x, x) are rays
-    assert reps[0].sum() == pytest.approx(lp_min.fun, rel=1e-9, abs=0.0)
-    assert len(reps) == 1 + len(offsets(reps[0], mss, tol))
+    # The paired directions (x, x) are rays, so the family is not a single point.
+    check_family(problem, np.arange(14), points, tol, lp=False)
+    assert len(points) == 2
 
 
 def test_a_pair_with_zero_gap_sum_reaches_the_family_representatives(monkeypatch):
     problem = CASES["lifted-singular-psd"]
     assert len(oracle._negated_pairs(problem)[0]) == 0
     calls = []
-    representatives = oracle._family_representatives
+    family_points = oracle._family_points
 
-    def counted(mss, q_s, tol):
-        calls.append(mss.shape[0])
-        return representatives(mss, q_s, tol)
+    def counted(problem, idx, tol):
+        calls.append(idx.size)
+        return family_points(problem, idx, tol)
 
-    monkeypatch.setattr(oracle, "_family_representatives", counted)
+    monkeypatch.setattr(oracle, "_family_points", counted)
     result = certify_unique(problem, tol=1e-8 * (1.0 + float(np.abs(problem.q).max())), cap=4)
     assert result.verdict is Verdict.MULTIPLE
     assert calls
     assert all(s.consistent for s in result.enumeration.singular_supports)
+
+
+def monotone_integer_lcp(seed: int) -> LcpProblem:
+    """``M = BB'`` with integer ``B`` of rank below ``n``, plus an integer skew part on odd seeds."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    b = rng.integers(-1, 2, (n, int(rng.integers(1, n))))
+    m = b @ b.T
+    if seed % 2:
+        s = np.triu(rng.integers(-1, 2, (n, n)), 1)
+        m = m + s - s.T
+    return LcpProblem(m.astype(float), rng.integers(-2, 3, n).astype(float))
+
+
+def referee(problem: LcpProblem, z_star: np.ndarray | None) -> Verdict | None:
+    """The verdict of HiGHS LPs over the solution set of a monotone LCP.
+
+    ``none`` exactly when ``{z >= 0, q + Mz >= 0}`` is infeasible; a monotone
+    LCP that is feasible is solvable.  Otherwise, with ``z_star`` a solution,
+    the solution set is ``{z >= 0, q + Mz >= 0, (M+M')(z - z_star) = 0,
+    q'(z - z_star) = 0}``, and it is one point when no coordinate spreads over
+    it.  Returns ``None`` for a feasible problem without ``z_star``.
+    """
+    m, q, n = problem.M, problem.q, problem.n
+    kw = dict(A_ub=-m, b_ub=q, bounds=[(0, None)] * n, method="highs")
+    feasible = scipy.optimize.linprog(np.zeros(n), **kw)
+    if feasible.status == 2:
+        return Verdict.NONE
+    if z_star is None:
+        return None
+    a_eq = np.vstack([m + m.T, q])
+    width = spread({**kw, "A_eq": a_eq, "b_eq": a_eq @ z_star}, n)
+    return Verdict.MULTIPLE if width > 1e-6 else Verdict.UNIQUE
+
+
+def test_the_oracle_agrees_with_the_lp_referee_on_monotone_integer_lcps():
+    """Low-rank PSD (even seeds) and skew-PSD (odd seeds) integer LCPs.
+
+    On seed 127 the solution set is the ray ``(0, 0, t, 0)``, ``t >= 2``.  It is
+    the feasible part of the singular support ``{2}`` (``M_22 = q_2 = 0``),
+    cut from ``z_2 >= 0`` by ``w_1 = z_2 - 2 >= 0``; a search of ``z_2 >= 0``
+    alone finds only points that fail ``w_1 >= 0``.
+    """
+    seen = set()
+    for seed in range(160):
+        problem = monotone_integer_lcp(seed)
+        tol = 1e-8 * (1.0 + float(np.abs(problem.q).max()))
+        got = certify_unique(problem, tol=tol, cap=problem.n)
+        solutions = got.enumeration.solutions
+        assert got.verdict is referee(problem, solutions[0].z if solutions else None), seed
+        seen.add(got.verdict)
+    assert seen == set(Verdict)
