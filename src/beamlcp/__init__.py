@@ -29,7 +29,7 @@ from .contact import (
     solve_structured,
     split_signed,
 )
-from .dense import CholeskyFactor, as_matrix, as_vector, matvec, spd_factor, spd_solve
+from .dense import as_matrix, as_vector, spd_factor
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -61,7 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # dense
-    "as_matrix", "as_vector", "CholeskyFactor", "spd_factor", "spd_solve", "matvec",
+    "as_matrix", "as_vector", "spd_factor",
     # lcp
     "LcpProblem", "LcpSolution", "ValidationReport", "assemble_w", "validate",
     # lemke

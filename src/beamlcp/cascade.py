@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import ContactLcp, ContactSolution, PgsOptions, solve_structured
-from .dense import as_matrix, as_vector, matvec
+from .dense import as_matrix, as_vector, spd_factor
 from .errors import DimensionMismatch, InvariantViolation
 from .lcp import LcpProblem, LcpSolution
 
@@ -38,8 +38,9 @@ class CascadeBlock:
     """One stage: compliance K, gap offsets (q1, q2), couplings to earlier blocks.
 
     couplings is a sequence of (j, Ktilde) pairs, j the 0-based position of an
-    earlier block and Ktilde of shape (n_i, n_j).  The gap sum q1 + q2 must be
-    strictly positive (it equals twice the wall clearance).
+    earlier block and Ktilde of shape (n_i, n_j).  K must be symmetric positive
+    definite and the gap sum q1 + q2 strictly positive (it equals twice the
+    wall clearance); both are enforced at construction.
     """
 
     K: np.ndarray
@@ -59,6 +60,7 @@ class CascadeBlock:
                 f"block K is {n}x{n} but q1/q2 have lengths "
                 f"{self.q1.shape[0]}/{self.q2.shape[0]}"
             )
+        spd_factor(self.K)
         if np.any(self.q1 + self.q2 <= 0.0):
             raise InvariantViolation("block gap sum q1 + q2 must be strictly positive")
         normalized = []
@@ -132,7 +134,7 @@ def cascade_stages(p: CascadeProblem, options: PgsOptions | None = None) -> list
     for blk in p.blocks:
         shift = np.zeros(blk.n)
         for j, ktilde in blk.couplings:
-            shift += matvec(ktilde, net_forces[j])
+            shift += ktilde @ net_forces[j]
         gap_sum = blk.q1 + blk.q2
         q_hat1 = blk.q1 + shift
         q_hat2 = gap_sum - q_hat1

@@ -85,11 +85,18 @@ def _structure(pf: fileio.ProblemFile):
     problem is the file's problem, with a beam converted (once) to its
     ContactLcp.  block_sizes/gap_sums are None for general problems; gap_sums
     holds the per-index value of gamma_l + gamma_u (i.e. 2 y*) in block order.
+
+    Raises:
+        SchemaError: a beam whose contact model cannot be built: no
+            stabilizers, non-finite entries, or a K that is not positive definite.
     """
     if pf.kind == "general":
         return pf.problem, pf.problem, None, None
     if pf.kind in ("contact", "beam"):
-        c = pf.problem if pf.kind == "contact" else to_contact_lcp(pf.problem)
+        try:
+            c = pf.problem if pf.kind == "contact" else to_contact_lcp(pf.problem)
+        except (LcpError, ValueError) as exc:
+            raise SchemaError(str(exc), field="payload") from exc
         return c, assemble(c), [c.n], 2.0 * c.y_star
     if pf.kind == "cascade":
         p = pf.problem

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import as_matrix, as_vector, matvec, spd_factor, spd_solve
+from .dense import as_matrix, as_vector, spd_factor
 from .errors import DimensionMismatch, InvariantViolation, MaxIterationsExceeded
-from .lcp import LcpProblem, LcpSolution, assemble_w
+from .lcp import LcpProblem, LcpSolution
 
 __all__ = [
     "ContactLcp",
@@ -60,7 +60,7 @@ class ContactLcp:
     """n stabilizers between two walls: compliance K, offsets q_tilde, clearances y_star.
 
     K must be symmetric positive definite and y_star strictly positive; both
-    are enforced at construction (the Cholesky factor is kept for reuse).
+    are enforced at construction.
     """
 
     K: np.ndarray
@@ -81,7 +81,7 @@ class ContactLcp:
             )
         if n == 0 or np.any(self.y_star <= 0.0):
             raise InvariantViolation("y_star must be strictly positive (n >= 1)")
-        object.__setattr__(self, "_chol", spd_factor(self.K))
+        spd_factor(self.K)
 
     @property
     def n(self) -> int:
@@ -154,7 +154,9 @@ def gaps(c: ContactLcp, d) -> tuple[np.ndarray, np.ndarray]:
     identity gamma_l + gamma_u = 2 y* survives floating point.
     """
     dv = as_vector(d, "d")
-    gamma_l = matvec(c.K, dv) + c.q_tilde + c.y_star
+    if dv.shape[0] != c.n:
+        raise DimensionMismatch(f"K is {c.n}x{c.n} but d has length {dv.shape[0]}")
+    gamma_l = c.K @ dv + c.q_tilde + c.y_star
     gamma_u = 2.0 * c.y_star - gamma_l
     return gamma_l, gamma_u
 
@@ -165,10 +167,9 @@ def feasible_point(c: ContactLcp) -> LcpSolution:
     At this d the lower gap vanishes and the upper gap is 2 y* >= 0, so the
     split forces give z >= 0 with w >= 0.
     """
-    d = spd_solve(c._chol, -(c.q_tilde + c.y_star))
-    F_l, F_u = split_signed(d)
-    z = np.concatenate([F_l, F_u])
-    w = assemble_w(assemble(c), z)
+    d = np.linalg.solve(c.K, -(c.q_tilde + c.y_star))
+    z = np.concatenate(split_signed(d))
+    w = np.concatenate(gaps(c, d))
     return LcpSolution(z, w, float(z @ w), "feasible-point", 0)
 
 

@@ -1,27 +1,19 @@
-"""Dense vector/matrix validation and SPD solve kernels (NumPy only).
+"""Dense vector/matrix input validation (NumPy only).
 
 Everything downstream funnels its array inputs through :func:`as_matrix` /
 :func:`as_vector`, so non-finite entries are rejected once, at construction.
-Returned arrays are C-contiguous float64 and marked read-only: values are
-immutable after construction.
+:func:`spd_factor` is the symmetric-positive-definite check.  Returned arrays
+are C-contiguous float64 and marked read-only: values are immutable after
+construction.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
 
-__all__ = [
-    "as_matrix",
-    "as_vector",
-    "CholeskyFactor",
-    "spd_factor",
-    "spd_solve",
-    "matvec",
-]
+__all__ = ["as_matrix", "as_vector", "spd_factor"]
 
 #: Relative tolerance for the symmetry check in :func:`spd_factor`.
 SYMMETRY_RTOL = 1e-10
@@ -52,19 +44,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return _freeze(m)
 
 
-@dataclass(frozen=True, eq=False)
-class CholeskyFactor:
-    """Lower-triangular factor L with L @ L.T equal to the factored matrix."""
-
-    L: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.L.shape[0]
-
-
-def spd_factor(a) -> CholeskyFactor:
-    """Cholesky-factor a symmetric positive definite matrix.
+def spd_factor(a) -> np.ndarray:
+    """Lower Cholesky factor L, with L @ L.T = A, of a symmetric positive definite A.
 
     No pivoting and no silent symmetrization: an asymmetric input is an
     error, not something to be averaged away.
@@ -87,30 +68,4 @@ def spd_factor(a) -> CholeskyFactor:
         L = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
-    return CholeskyFactor(_freeze(np.ascontiguousarray(L)))
-
-
-def spd_solve(factor: CholeskyFactor, b) -> np.ndarray:
-    """Solve A x = b given the Cholesky factor of A: L y = b, then L.T x = y."""
-    rhs = as_vector(b, "right-hand side")
-    if rhs.shape[0] != factor.n:
-        raise DimensionMismatch(
-            f"factor is {factor.n}x{factor.n} but right-hand side has length {rhs.shape[0]}"
-        )
-    y = np.linalg.solve(factor.L, rhs)
-    return np.linalg.solve(factor.L.T, y)
-
-
-def matvec(a, x) -> np.ndarray:
-    """Dense matrix-vector product with shape checking."""
-    m = np.asarray(a, dtype=np.float64)
-    v = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1:
-        raise DimensionMismatch(
-            f"matvec expects a matrix and a vector, got shapes {m.shape} and {v.shape}"
-        )
-    if m.shape[1] != v.shape[0]:
-        raise DimensionMismatch(
-            f"cannot multiply {m.shape[0]}x{m.shape[1]} matrix by length-{v.shape[0]} vector"
-        )
-    return m @ v
+    return _freeze(np.ascontiguousarray(L))

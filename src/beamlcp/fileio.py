@@ -15,11 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .beam import BeamConfig, PointLoad, Stabilizer
 from .cascade import CascadeBlock, CascadeProblem
 from .contact import ContactLcp
+from .dense import as_vector
 from .errors import LcpError, SchemaError
 from .lcp import LcpProblem
 
@@ -51,10 +50,20 @@ def _require(mapping, key: str, where: str):
     return mapping[key]
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str):
+def _reject_unknown(mapping, allowed: set, where: str):
+    if not isinstance(mapping, dict):
+        raise SchemaError(f"expected an object, got {type(mapping).__name__}", field=where)
     unknown = set(mapping) - allowed
     if unknown:
         raise SchemaError(f"unknown fields {sorted(unknown)}", field=where)
+
+
+def _array(mapping: dict, key: str, where: str, required: bool = True) -> list:
+    """mapping[key], which must be an array; an optional key that is absent reads as []."""
+    value = _require(mapping, key, where) if required else mapping.get(key, [])
+    if not isinstance(value, list):
+        raise SchemaError("must be an array", field=f"{where}.{key}")
+    return value
 
 
 def _build(ctor, where: str, *args, **kwargs):
@@ -62,7 +71,7 @@ def _build(ctor, where: str, *args, **kwargs):
         return ctor(*args, **kwargs)
     except SchemaError:
         raise
-    except (LcpError, ValueError, TypeError) as exc:
+    except (LcpError, ValueError, TypeError, OverflowError) as exc:
         raise SchemaError(str(exc), field=where) from exc
 
 
@@ -83,15 +92,12 @@ def _payload_to_problem(kind: str, payload, where: str = "payload"):
         )
     if kind == "cascade":
         _reject_unknown(payload, {"blocks"}, where)
-        raw_blocks = _require(payload, "blocks", where)
-        if not isinstance(raw_blocks, list):
-            raise SchemaError("blocks must be an array", field=f"{where}.blocks")
         blocks = []
-        for i, raw in enumerate(raw_blocks):
+        for i, raw in enumerate(_array(payload, "blocks", where)):
             bwhere = f"{where}.blocks[{i}]"
             _reject_unknown(raw, {"K", "q1", "q2", "couplings"}, bwhere)
             couplings = []
-            for k, cp in enumerate(raw.get("couplings", [])):
+            for k, cp in enumerate(_array(raw, "couplings", bwhere, required=False)):
                 cwhere = f"{bwhere}.couplings[{k}]"
                 _reject_unknown(cp, {"j", "Ktilde"}, cwhere)
                 couplings.append(
@@ -111,14 +117,14 @@ def _payload_to_problem(kind: str, payload, where: str = "payload"):
     if kind == "beam":
         _reject_unknown(payload, {"length", "ei", "stabilizers", "loads"}, where)
         stabilizers = []
-        for i, raw in enumerate(payload.get("stabilizers", [])):
+        for i, raw in enumerate(_array(payload, "stabilizers", where, required=False)):
             swhere = f"{where}.stabilizers[{i}]"
             _reject_unknown(raw, {"position", "gap"}, swhere)
             stabilizers.append(
                 Stabilizer(_require(raw, "position", swhere), _require(raw, "gap", swhere))
             )
         loads = []
-        for i, raw in enumerate(payload.get("loads", [])):
+        for i, raw in enumerate(_array(payload, "loads", where, required=False)):
             lwhere = f"{where}.loads[{i}]"
             _reject_unknown(raw, {"position", "magnitude"}, lwhere)
             loads.append(
@@ -221,10 +227,9 @@ def parse_report(text: str) -> dict:
         raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
-    z = _require(doc, "z", "report")
-    if not isinstance(z, list):
-        raise SchemaError("z must be an array", field="report.z")
-    arr = np.asarray(z, dtype=np.float64)
-    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-        raise SchemaError("z must be a flat array of finite numbers", field="report.z")
+    z = _array(doc, "z", "report")
+    try:
+        as_vector(z, "z")
+    except (LcpError, ValueError, TypeError) as exc:
+        raise SchemaError("z must be a flat array of finite numbers", field="report.z") from exc
     return doc

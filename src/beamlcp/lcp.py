@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import as_matrix, as_vector, matvec
+from .dense import as_matrix, as_vector
 from .errors import DimensionMismatch
 
 __all__ = [
@@ -91,7 +91,7 @@ def assemble_w(problem: LcpProblem, z) -> np.ndarray:
         raise DimensionMismatch(
             f"problem has dimension {problem.n} but z has length {zv.shape[0]}"
         )
-    return problem.q + matvec(problem.M, zv)
+    return problem.q + problem.M @ zv
 
 
 def validate(problem: LcpProblem, z, tol: float) -> ValidationReport:

@@ -129,6 +129,49 @@ def test_solve_malformed_json(tmp_path):
     assert main(["solve", "--input", str(path)]) == 1
 
 
+def _beam(stabilizers, loads=()):
+    payload = {"length": 10.0, "ei": 1.0, "stabilizers": stabilizers, "loads": list(loads)}
+    return {"kind": "beam", "payload": payload}
+
+
+_INDEFINITE_BLOCK = {"K": [[1.0, 2.0], [2.0, 1.0]], "q1": [-1.0, 0.5], "q2": [2.0, 1.0]}
+
+#: Files that parse but are outside the class: (document, structured solver, stderr start).
+_OUT_OF_CLASS = {
+    "cascade-indefinite": (
+        {"kind": "cascade", "payload": {"blocks": [_INDEFINITE_BLOCK]}},
+        "cascade",
+        "error: payload.blocks[0]: matrix is not positive definite",
+    ),
+    "beam-without-stabilizers": (
+        _beam([], [{"position": 5.0, "magnitude": 1.0}]),
+        "pgs",
+        "error: payload: y_star must be strictly positive",
+    ),
+    "beam-coincident-stabilizers": (
+        _beam([{"position": 3.0, "gap": 1.0}, {"position": 3.0000000000000004, "gap": 1.0}]),
+        "pgs",
+        "error: payload: matrix is not positive definite",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_OUT_OF_CLASS))
+def test_out_of_class_files_are_usage_errors(tmp_path, capsys, name):
+    doc, solver, message = _OUT_OF_CLASS[name]
+    path = write_raw(tmp_path, "p.json", doc)
+    for argv in (
+        ["solve"],
+        ["solve", "--solver", solver],
+        ["verify", "--output", str(tmp_path / "report.json")],
+        ["enumerate"],
+    ):
+        assert main([*argv, "--input", str(path)]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message), (argv, captured.err)
+
+
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == 1
 

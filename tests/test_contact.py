@@ -81,6 +81,20 @@ def test_feasible_point_reference(contact_1d_resting):
     assert sol.iterations == 0
 
 
+def test_feasible_point_does_not_form_the_block_matrix(monkeypatch, contact_1d_resting):
+    def no_assemble(c):
+        raise AssertionError("feasible_point formed the 2n x 2n block matrix")
+
+    monkeypatch.setattr(contact, "assemble", no_assemble)
+    sol = feasible_point(contact_1d_resting)
+    assert np.array_equal(sol.z, np.array([0.0, 1.0]))
+
+
+def test_gaps_rejects_a_wrong_length_d(contact_2d):
+    with pytest.raises(DimensionMismatch):
+        gaps(contact_2d, np.ones(3))
+
+
 def test_feasible_point_is_feasible_with_known_gaps(rng):
     for _ in range(200):
         n = int(rng.integers(1, 7))

@@ -1,4 +1,4 @@
-"""Tests for the dense linear-algebra layer."""
+"""Tests for the dense input-validation layer and the solve in feasible_point."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from beamlcp import (
+    ContactLcp,
     DimensionMismatch,
     NotPositiveDefinite,
     NotSymmetric,
@@ -16,25 +17,23 @@ from beamlcp import (
     as_vector,
     assemble,
     feasible_point,
-    matvec,
     spd_factor,
-    spd_solve,
 )
 from beamlcp.generate import gen_contact
 
 
 def test_factor_reference_matrix():
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    fac = spd_factor(a)
+    L = spd_factor(a)
     expected = np.array([[np.sqrt(2.0), 0.0], [1.0 / np.sqrt(2.0), np.sqrt(1.5)]])
-    assert np.allclose(fac.L, expected, rtol=0, atol=1e-12)
-    assert np.allclose(fac.L @ fac.L.T, a, rtol=1e-12, atol=0)
-    assert fac.n == 2
+    assert np.allclose(L, expected, rtol=0, atol=1e-12)
+    assert np.allclose(L @ L.T, a, rtol=1e-12, atol=0)
+    assert L.shape == (2, 2)
+    assert not L.flags.writeable
 
 
 def test_factor_identity_is_identity():
-    fac = spd_factor(np.eye(3))
-    assert np.array_equal(fac.L, np.eye(3))
+    assert np.array_equal(spd_factor(np.eye(3)), np.eye(3))
 
 
 def test_factor_rejects_indefinite():
@@ -54,8 +53,7 @@ def test_factor_rejects_asymmetric():
 
 def test_factor_accepts_tiny_asymmetry():
     a = np.array([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
-    fac = spd_factor(a)
-    assert fac.n == 2
+    assert spd_factor(a).shape == (2, 2)
 
 
 def test_factor_rejects_nonsquare():
@@ -63,9 +61,19 @@ def test_factor_rejects_nonsquare():
         spd_factor(np.ones((2, 3)))
 
 
+def _solve_by_feasible_point(k, b):
+    """Solve k x = b through feasible_point, whose d solves K d = -(q_tilde + y*).
+
+    Returns x and the right-hand side actually solved, -(q_tilde + y*),
+    which differs from b by the rounding of q_tilde = -b - 1.
+    """
+    c = ContactLcp(k, -np.asarray(b) - 1.0, np.ones(len(b)))
+    z = feasible_point(c).z
+    return z[: c.n] - z[c.n :], -(c.q_tilde + c.y_star)
+
+
 def test_solve_reference_system():
-    fac = spd_factor(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    x = spd_solve(fac, np.array([1.0, 1.0]))
+    x, _ = _solve_by_feasible_point(np.array([[2.0, 1.0], [1.0, 2.0]]), [1.0, 1.0])
     assert np.allclose(x, [1.0 / 3.0, 1.0 / 3.0], rtol=0, atol=1e-14)
 
 
@@ -78,8 +86,7 @@ def test_solve_matches_dense_solve_on_ill_conditioned_matrix():
     a = 0.5 * (a + a.T)
     cond = np.linalg.cond(a)
     assert cond >= 1e6
-    b = gen.standard_normal(n)
-    x = spd_solve(spd_factor(a), b)
+    x, b = _solve_by_feasible_point(a, gen.standard_normal(n))
     ref = np.linalg.solve(a, b)
     # Backward error: the relative residual is at rounding level whatever cond(A) is.
     assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(a, 2) * np.linalg.norm(x)
@@ -93,23 +100,6 @@ def test_feasible_point_zeroes_the_lower_gap_at_n40():
     q = assemble(c).q
     assert np.abs(sol.w[:40]).max() <= 1e-10 * (1.0 + np.abs(q).max())
     assert sol.z.min() >= 0.0
-
-
-def test_solve_rejects_wrong_length():
-    fac = spd_factor(np.eye(2))
-    with pytest.raises(DimensionMismatch):
-        spd_solve(fac, np.ones(3))
-
-
-def test_matvec_reference():
-    k = np.array([[2.0, 1.0], [1.0, 2.0]])
-    out = matvec(k, np.array([7.0 / 6.0, -1.0 / 3.0]))
-    assert np.allclose(out, [2.0, 0.5], rtol=0, atol=1e-14)
-
-
-def test_matvec_rejects_mismatch():
-    with pytest.raises(DimensionMismatch):
-        matvec(np.eye(2), np.ones(3))
 
 
 def test_as_vector_rejects_nan_and_inf():
@@ -139,9 +129,9 @@ def test_returned_arrays_are_read_only():
 
 def test_inputs_are_copied_not_aliased():
     src = np.array([[2.0, 0.0], [0.0, 2.0]])
-    fac = spd_factor(src)
+    L = spd_factor(src)
     src[0, 0] = -1.0
-    assert fac.L[0, 0] == np.sqrt(2.0)
+    assert L[0, 0] == np.sqrt(2.0)
 
 
 def test_random_spd_quadratic_forms_positive(rng):
@@ -168,5 +158,5 @@ def test_solve_residual_is_small(seed, b):
     gen = np.random.default_rng(seed)
     a = gen.uniform(-1.0, 1.0, size=(n, n))
     k = a.T @ a + n * np.eye(n)
-    x = spd_solve(spd_factor(k), b)
+    x, b = _solve_by_feasible_point(k, b)
     assert np.max(np.abs(k @ x - b)) <= 1e-9 * (1.0 + np.max(np.abs(b)))

@@ -184,3 +184,64 @@ def test_metadata_defaults_to_empty_dict():
         json.dumps({"kind": "general", "payload": {"M": [[1.0]], "q": [1.0]}})
     )
     assert pf.metadata == {}
+
+
+_BEAM = {"length": 10.0, "ei": 1.0, "stabilizers": [{"position": 5.0, "gap": 1.0}], "loads": []}
+_BLOCK = {"K": [[1.0]], "q1": [0.0], "q2": [1.0]}
+_INF_J = {"j": float("inf"), "Ktilde": [[1.0]]}
+
+
+@pytest.mark.parametrize(
+    ("kind", "doc", "field", "message"),
+    [
+        ("general", 5, "payload", "expected an object"),
+        ("beam", {**_BEAM, "stabilizers": 5}, "payload.stabilizers", "must be an array"),
+        ("beam", {**_BEAM, "stabilizers": [5]}, "payload.stabilizers[0]", "expected an object"),
+        ("beam", {**_BEAM, "loads": {"a": 1}}, "payload.loads", "must be an array"),
+        ("cascade", {"blocks": [{**_BLOCK, "couplings": 3}]}, "payload.blocks[0].couplings",
+         "must be an array"),
+        ("cascade", {"blocks": [5]}, "payload.blocks[0]", "expected an object"),
+        ("cascade", {"blocks": [_BLOCK, {**_BLOCK, "couplings": [_INF_J]}]}, "payload.blocks[1]",
+         "infinity"),
+        ("report", {"z": ["a", 1, 2, 3]}, "report.z", "finite numbers"),
+        ("report", {"z": [1.0, [2.0, 3.0]]}, "report.z", "finite numbers"),
+    ],
+)
+def test_malformed_files_name_the_field(kind, doc, field, message):
+    if kind == "report":
+        parse, text = parse_report, json.dumps(doc)
+    else:
+        parse, text = parse_problem, json.dumps({"kind": kind, "payload": doc})
+    with pytest.raises(SchemaError) as exc_info:
+        parse(text)
+    assert exc_info.value.field == field
+    assert message in str(exc_info.value)
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, as a tuple of keys and indices."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_any_malformed_field_is_a_schema_error_with_its_path(kind):
+    doc = json.loads(serialize_problem(ProblemFile(kind, gen_problem(kind, 2, 2, 0))))
+    for path in list(_paths(doc))[1:]:
+        for junk in (5, "a", None, True, [], [5], ["a"], [[1.0, 2.0], [3.0]], {}, {"a": 1}, 1e400):
+            bad = json.loads(json.dumps(doc))
+            parent = bad
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = junk
+            try:
+                parse_problem(json.dumps(bad))
+            except SchemaError as exc:
+                assert exc.field, (path, junk, exc)
