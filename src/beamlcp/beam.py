@@ -116,7 +116,8 @@ def _influence_table(xs: np.ndarray, a: np.ndarray, length: float, ei: float) ->
     """influence(xs[i], a[j]) for all i, j, with the scalar formula's operation order."""
     x = np.minimum.outer(xs, a)
     b = length - np.maximum.outer(xs, a)
-    return b * x * (length * length - b * b - x * x) / (6.0 * length * ei)
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers reject non-finite entries
+        return b * x * (length * length - b * b - x * x) / (6.0 * length * ei)
 
 
 def _positions(items) -> np.ndarray:

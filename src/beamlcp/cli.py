@@ -110,8 +110,8 @@ def _structure(pf: fileio.ProblemFile):
 
 
 def _tolerance(tol: float | None, lcp) -> float:
-    """--tol if given, else the default of every command: 1e-8 * (1 + max|q|)."""
-    return tol if tol is not None else 1e-8 * (1.0 + float(np.abs(lcp.q).max()))
+    """--tol if given, else the default of every command: 1e-8 * max|q|."""
+    return tol if tol is not None else 1e-8 * float(np.abs(lcp.q).max())
 
 
 def _check_tol(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
@@ -122,7 +122,7 @@ def _check_tol(ctx: click.Context, param: click.Parameter, value: float | None) 
 
 
 _TOL_OPTION = click.option(
-    "--tol", type=float, callback=_check_tol, help="Tolerance [default: 1e-8 * (1 + max|q|)]."
+    "--tol", type=float, callback=_check_tol, help="Tolerance [default: 1e-8 * max|q|]."
 )
 
 

@@ -121,9 +121,9 @@ class ContactSolution:
 class PgsOptions:
     """Controls for solve_structured.
 
-    An index joins the active set while g lies more than
-    ``tol_scale * (1 + ||q_tilde + y_star||_inf)`` outside [0, 2 y*] there,
-    and a solution's optimality residual must be within the same tolerance.
+    An index joins the active set while g lies more than ``tol_scale * max|q|``
+    outside [0, 2 y*] there (q the assembled LCP's), and a solution's
+    optimality residual must be within the same tolerance.
     """
 
     tol_scale: float = 1e-12
@@ -236,7 +236,7 @@ def solve_structured(c: ContactLcp, options: PgsOptions | None = None) -> Contac
     opts = options or PgsOptions()
     cvec = c.q_tilde + c.y_star
     two_y = 2.0 * c.y_star
-    tol = opts.tol_scale * (1.0 + float(np.abs(cvec).max()))
+    tol = opts.tol_scale * float(np.abs(np.concatenate([cvec, two_y - cvec])).max())
 
     d, solves = _active_set(c.K, cvec, two_y, tol, MAX_SOLVES_PER_DIM * c.n)
     residual = _residual(c.K, cvec, two_y, d)

@@ -100,9 +100,9 @@ def _payload_to_problem(kind: str, payload, where: str = "payload"):
             for k, cp in enumerate(_array(raw, "couplings", bwhere, required=False)):
                 cwhere = f"{bwhere}.couplings[{k}]"
                 _reject_unknown(cp, {"j", "Ktilde"}, cwhere)
-                couplings.append(
-                    (_require(cp, "j", cwhere), _require(cp, "Ktilde", cwhere))
-                )
+                if type(j := _require(cp, "j", cwhere)) is not int:
+                    raise SchemaError(f"j must be an integer, got {j!r}", field=cwhere)
+                couplings.append((j, _require(cp, "Ktilde", cwhere)))
             blocks.append(
                 _build(
                     CascadeBlock,

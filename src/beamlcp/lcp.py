@@ -95,23 +95,22 @@ def assemble_w(problem: LcpProblem, z) -> np.ndarray:
 
 
 def validate(problem: LcpProblem, z, tol: float) -> ValidationReport:
-    """Check z (with w recomputed from the problem) at absolute tolerance tol.
+    """Check z (with w recomputed from the problem) at tolerance tol.
 
     Sign conditions use ``tol`` directly; the scalar gap test is scaled by
-    ``1 + ||q||_inf + ||z||_inf`` so it is meaningful across magnitudes.
+    ``||q||_inf + ||z||_inf``; callers pass a ``tol`` relative to ``||q||_inf``.
     """
     zv = as_vector(z, "z")
     w = assemble_w(problem, zv)
     min_z = float(zv.min()) if zv.size else 0.0
     min_w = float(w.min()) if w.size else 0.0
     comp_gap = float(zv @ w)
-    scale = 1.0 + float(np.abs(problem.q).max(initial=0.0)) + float(np.abs(zv).max(initial=0.0))
+    gap_tol = tol * (float(np.abs(problem.q).max(initial=0.0)) + float(np.abs(zv).max(initial=0.0)))
     feasible = min_z >= -tol and min_w >= -tol
-    solved = feasible and abs(comp_gap) <= tol * scale
+    solved = feasible and abs(comp_gap) <= gap_tol
 
     violations = []
     degenerate = []
-    per_term_tol = tol * scale
     for i in range(problem.n):
         zi, wi = zv[i], w[i]
         if zi < -tol:
@@ -120,7 +119,7 @@ def validate(problem: LcpProblem, z, tol: float) -> ValidationReport:
             violations.append((i, "w", float(-wi)))
         if abs(zi) <= tol and abs(wi) <= tol:
             degenerate.append(i)
-        elif zi * wi > per_term_tol:
+        elif zi * wi > gap_tol:
             violations.append((i, "zw", float(zi * wi)))
 
     return ValidationReport(

@@ -6,10 +6,10 @@ identity and therefore always carries the inverse of the current basis, which
 is exactly what the lexicographic ratio test needs: rows are compared via the
 augmented vector ``[rhs, w-block] / pivot_entry``.
 
-Nothing here assumes symmetry or definiteness of M.  The pivots run on M
-divided by a power of two that brings its largest entry into [0.5, 1), so the
-absolute ``ZERO_TOL`` means the same at every unit scale of M; the division
-is exact, and z is scaled back the same way.
+Nothing here assumes symmetry or definiteness of M.  The pivots run on M and
+q each divided by a power of two that brings its largest entry into
+[0.5, 1), so the absolute ``ZERO_TOL`` means the same at every unit scale of
+M and q; the divisions are exact, and z is scaled back the same way.
 """
 
 from __future__ import annotations
@@ -72,9 +72,10 @@ def lemke_solve(problem: LcpProblem) -> LcpSolution:
     T = np.zeros((n, 2 * n + 2))
     T[:, :n] = np.eye(n)
     scale = np.ldexp(1.0, int(np.frexp(np.abs(problem.M).max())[1]))
+    q_scale = np.ldexp(1.0, int(np.frexp(np.abs(q).max())[1]))
     T[:, n : 2 * n] = -problem.M / scale
     T[:, z0_col] = -1.0
-    T[:, rhs_col] = q
+    T[:, rhs_col] = q / q_scale
     basis = list(range(n))  # variable ids: 0..n-1 w, n..2n-1 z, 2n is z0
 
     def pivot(r: int, col: int):
@@ -95,8 +96,8 @@ def lemke_solve(problem: LcpProblem) -> LcpSolution:
     # basis becomes feasible.  Among exact ties the largest index is the
     # lexicographic argmin of (q_i, e_i), which keeps every updated row
     # lexicographically positive.
-    qmin = q.min()
-    tied = np.flatnonzero(q <= qmin + ZERO_TOL * (1.0 + abs(qmin)))
+    qmin = T[:, rhs_col].min()
+    tied = np.flatnonzero(T[:, rhs_col] <= qmin + ZERO_TOL * (1.0 + abs(qmin)))
     r = int(tied.max())
     leaving = basis[r]
     pivot(r, z0_col)
@@ -144,6 +145,6 @@ def lemke_solve(problem: LcpProblem) -> LcpSolution:
     z = np.zeros(n)
     for row, var in enumerate(basis):
         if n <= var < 2 * n:
-            z[var - n] = T[row, rhs_col] / scale
+            z[var - n] = T[row, rhs_col] * q_scale / scale
     w = assemble_w(problem, z)
     return LcpSolution(z, w, float(z @ w), "lemke", pivots)

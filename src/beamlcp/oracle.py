@@ -34,9 +34,9 @@ cascade problems have such a pair for every physical index, so only their
 A consistent singular support needs no LP solver: :func:`_family_points`
 solves the bases of its family's feasible part in stacked NumPy calls and
 returns at most two points, one when that part is a single point.  Such
-supports occur on singular PSD problems, and on contact, beam and cascade
-problems at small unit scales (``q`` times 1e-9), where the margin switches
-the pair rule off and their paired supports test consistent.
+supports occur on singular PSD problems, and on paired problems whose
+``q_i + q_j`` vanishes.  The thresholds are relative to ``max|q|``, so
+scaling ``q`` by a power of two leaves each decision as it was.
 
 Nothing here is shared with the pivoting or active-set solvers, and the
 module needs NumPy alone.
@@ -142,8 +142,8 @@ def _lstsq_consistent(stack: np.ndarray, q_s: np.ndarray) -> np.ndarray:
     The minimum-norm least-squares solution is built from one stacked SVD
     with ``lstsq``'s default cut-off (singular values at most
     ``eps * k`` times the largest count as zero), and the system is
-    consistent when its residual is at most ``CONSISTENCY_RTOL`` relative to
-    ``1 + max|q_s|``.
+    consistent when its residual is at most ``CONSISTENCY_RTOL`` times
+    ``max|q_s|``; a homogeneous system leaves no residual and is consistent.
     """
     k = stack.shape[-1]
     u, s, vt = np.linalg.svd(stack)
@@ -152,7 +152,7 @@ def _lstsq_consistent(stack: np.ndarray, q_s: np.ndarray) -> np.ndarray:
     coef = np.divide(coef, s, out=np.zeros_like(coef), where=kept)
     z = vt.transpose(0, 2, 1) @ coef[..., None]
     residual = np.abs((stack @ z)[..., 0] + q_s).max(axis=1)
-    return residual <= CONSISTENCY_RTOL * (1.0 + np.abs(q_s).max(axis=1))
+    return residual <= CONSISTENCY_RTOL * np.abs(q_s).max(axis=1)
 
 
 def _independent_rows(a: np.ndarray, r: int) -> list[int]:
@@ -226,7 +226,7 @@ def _family_points(problem: LcpProblem, idx: np.ndarray, tol: float) -> list[np.
     rank = int((s > SINGULARITY_RTOL * s[0]).sum())
     rows = sorted([*idx[_independent_rows(mss, rank)], *np.flatnonzero(~on)])
     a = np.where(on, problem.M, -np.eye(n))
-    basic = _basic_solutions(a, -q, rows, tol, CONSISTENCY_RTOL * (1.0 + float(np.abs(q).max())))
+    basic = _basic_solutions(a, -q, rows, tol, CONSISTENCY_RTOL * float(np.abs(q).max()))
     z = np.where(on, np.vstack([np.empty((0, n)), *basic]), 0.0)
     if not len(z):
         return []
@@ -267,7 +267,7 @@ def _negated_pairs(problem: LcpProblem) -> tuple[np.ndarray, np.ndarray]:
     """
     m, q = problem.M, problem.q
     negated = np.triu((m[:, None, :] == -m[None, :, :]).all(axis=2), k=1)
-    threshold = PAIR_MARGIN * CONSISTENCY_RTOL * (1.0 + float(np.abs(q).max(initial=0.0)))
+    threshold = PAIR_MARGIN * CONSISTENCY_RTOL * float(np.abs(q).max(initial=0.0))
     far = np.abs(q[:, None] + q[None, :]) > threshold
     return np.nonzero(negated & far)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import warnings
 import weakref
 from contextlib import redirect_stdout
 
@@ -172,6 +173,19 @@ def test_out_of_class_files_are_usage_errors(tmp_path, capsys, name):
         assert captured.err.startswith(message), (argv, captured.err)
 
 
+def test_an_overflowing_beam_prints_only_the_error_line(tmp_path, capsys):
+    # length**2 overflows to inf and inf - inf is NaN; the finiteness check reports it.
+    doc = _beam([{"position": 3e299, "gap": 1.0}], [{"position": 5e299, "magnitude": 1.0}])
+    doc["payload"].update(length=1e300, ei=1e-300)
+    path = write_raw(tmp_path, "p.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: payload: flexibility matrix contains non-finite entries\n"
+
+
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == 1
 
@@ -309,7 +323,7 @@ def test_enumerate_prints_each_singular_support_record(tmp_path, capsys, name):
     code = main(["enumerate", "--input", str(path)])
     out = capsys.readouterr().out
 
-    cert = certify_unique(problem, tol=1e-8 * (1.0 + float(np.abs(problem.q).max())))
+    cert = certify_unique(problem, tol=1e-8 * float(np.abs(problem.q).max()))
     enum = cert.enumeration
     assert enum.singular_supports
     lines = [

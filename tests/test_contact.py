@@ -226,7 +226,8 @@ def test_solve_structured_solve_limit(monkeypatch):
     hi = np.where(d < 0.0, g - two_y, g)
     dist = np.maximum(np.maximum(lo, -hi), 0.0).max()
     assert dist == pytest.approx(exc.residual, rel=1e-12, abs=1e-15)
-    assert exc.residual > PgsOptions().tol_scale * (1.0 + np.abs(cvec).max())
+    max_q = np.abs(np.concatenate([cvec, two_y - cvec])).max()
+    assert exc.residual > PgsOptions().tol_scale * max_q
 
 
 def test_as_lcp_solution_round_trip(contact_2d):

@@ -189,6 +189,7 @@ def test_metadata_defaults_to_empty_dict():
 _BEAM = {"length": 10.0, "ei": 1.0, "stabilizers": [{"position": 5.0, "gap": 1.0}], "loads": []}
 _BLOCK = {"K": [[1.0]], "q1": [0.0], "q2": [1.0]}
 _INF_J = {"j": float("inf"), "Ktilde": [[1.0]]}
+_COUPLED = "payload.blocks[1].couplings[0]"
 
 
 @pytest.mark.parametrize(
@@ -201,10 +202,14 @@ _INF_J = {"j": float("inf"), "Ktilde": [[1.0]]}
         ("cascade", {"blocks": [{**_BLOCK, "couplings": 3}]}, "payload.blocks[0].couplings",
          "must be an array"),
         ("cascade", {"blocks": [5]}, "payload.blocks[0]", "expected an object"),
-        ("cascade", {"blocks": [_BLOCK, {**_BLOCK, "couplings": [_INF_J]}]}, "payload.blocks[1]",
-         "infinity"),
+        ("cascade", {"blocks": [_BLOCK, {**_BLOCK, "couplings": [_INF_J]}]}, _COUPLED, "integer"),
         ("report", {"z": ["a", 1, 2, 3]}, "report.z", "finite numbers"),
         ("report", {"z": [1.0, [2.0, 3.0]]}, "report.z", "finite numbers"),
+        # CascadeBlock rounds j with int(), so the file format rejects a j that is not an integer.
+        ("cascade", {"blocks": [_BLOCK, {**_BLOCK, "couplings": [{**_INF_J, "j": 1.5}]}]},
+         _COUPLED, "got 1.5"),
+        ("cascade", {"blocks": [_BLOCK, {**_BLOCK, "couplings": [{**_INF_J, "j": True}]}]},
+         _COUPLED, "got True"),
     ],
 )
 def test_malformed_files_name_the_field(kind, doc, field, message):

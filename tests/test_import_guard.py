@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from beamlcp import ContactLcp, LcpProblem, assemble, certify_unique
+from beamlcp import LcpProblem, certify_unique
 from beamlcp.fileio import ProblemFile, save_problem
 from beamlcp.generate import gen_problem
 
@@ -91,13 +91,11 @@ def test_singular_psd_enumeration_loads_no_scipy(tmp_path):
 
 
 def test_small_scale_certificate_loads_no_scipy(tmp_path):
-    # With q times 1e-9 the paired supports of a contact problem test consistent.
-    p = gen_problem("contact", 4, 2, 7)
-    small = ContactLcp(p.K, 1e-9 * p.q_tilde, 1e-9 * p.y_star)
-    lcp = assemble(small)
-    tol = 1e-8 * (1.0 + float(abs(lcp.q).max()))
-    assert certify_unique(lcp, tol=tol, cap=8).enumeration.singular_consistent.any()
-    path = write(tmp_path, "contact", small, "small.json")
+    # At q of order 1e-9 a consistent singular support still reaches the family search.
+    small = LcpProblem([[1.0, -1.0], [-1.0, 1.0]], [-1e-9, 1e-9])
+    tol = 1e-8 * float(abs(small.q).max())
+    assert certify_unique(small, tol=tol, cap=8).enumeration.singular_consistent.any()
+    path = write(tmp_path, "general", small, "small.json")
     report = str(tmp_path / "report.json")
     (record,) = run_cli([["solve", "--input", path, "--cap", "8", "--output", report]])
     assert record["code"] == 0, record

@@ -224,7 +224,7 @@ def loop_enumeration(problem: LcpProblem, tol: float, check=validate):
         if float(np.linalg.svd(mss, compute_uv=False)[-1]) <= oracle.SINGULARITY_RTOL * scale:
             z_ls, *_ = np.linalg.lstsq(mss, -q_s, rcond=None)
             residual = float(np.abs(mss @ z_ls + q_s).max(initial=0.0))
-            consistent = residual <= oracle.CONSISTENCY_RTOL * (1.0 + float(np.abs(q_s).max()))
+            consistent = residual <= oracle.CONSISTENCY_RTOL * float(np.abs(q_s).max())
             singulars.append(oracle.SingularSupport(tuple(support), consistent))
             if consistent:
                 for z in oracle._family_points(problem, s, tol):
@@ -239,10 +239,10 @@ def loop_enumeration(problem: LcpProblem, tol: float, check=validate):
 def larger() -> dict:
     """Contact, beam and cascade problems with physical size n = 6, general ones up to n = 8.
 
-    Two of them also come with ``q`` scaled by 1e9 and by 1e-9; at 1e-9 the
-    pair rule is off and every paired support is consistent.  The
-    integer-entry problems have exactly singular supports, consistent and
-    not, and zero, one or several solutions.
+    Two of them also come with ``q`` scaled by 1e9 and by 1e-9; the pair rule
+    is relative to ``max|q|``, so it settles their paired supports at every
+    scale.  The integer-entry problems have exactly singular supports,
+    consistent and not, and zero, one or several solutions.
     """
     out = {}
     for seed in (0, 1):
@@ -298,7 +298,7 @@ def test_consistency_test_matches_lstsq():
     for a, q in zip(stack, rhs):
         z, *_ = np.linalg.lstsq(a, -q, rcond=None)
         residual = float(np.abs(a @ z + q).max())
-        want.append(residual <= oracle.CONSISTENCY_RTOL * (1.0 + float(np.abs(q).max())))
+        want.append(residual <= oracle.CONSISTENCY_RTOL * float(np.abs(q).max()))
     assert oracle._lstsq_consistent(stack, rhs).tolist() == want
     assert sorted(set(want)) == [False, True]
 
@@ -384,7 +384,7 @@ def test_paired_supports_skip_the_stacked_tests(monkeypatch):
 
 def pair_threshold(q: np.ndarray) -> float:
     """The smallest ``|q_i + q_j|`` beyond which the pair rule applies."""
-    return oracle.PAIR_MARGIN * oracle.CONSISTENCY_RTOL * (1.0 + float(np.abs(q).max()))
+    return oracle.PAIR_MARGIN * oracle.CONSISTENCY_RTOL * float(np.abs(q).max())
 
 
 @settings(max_examples=300, deadline=None)
@@ -441,7 +441,7 @@ def test_the_pair_rule_agrees_with_the_loop_at_its_threshold(side, monkeypatch):
     so the threshold is the same and only the rule's decision moves.
     """
     m = np.block([[PAIRED_K, -PAIRED_K], [-PAIRED_K, PAIRED_K]])
-    gap = side * oracle.PAIR_MARGIN * oracle.CONSISTENCY_RTOL * 2.0
+    gap = side * oracle.PAIR_MARGIN * oracle.CONSISTENCY_RTOL
     problem = LcpProblem(m, [-1.0 + gap, 0.5, 1.0, 0.5])
     assert float(np.abs(problem.q).max()) == 1.0
     pairs = [(int(i), int(j)) for i, j in zip(*oracle._negated_pairs(problem))]
@@ -460,26 +460,22 @@ def test_the_pair_rule_agrees_with_the_loop_at_its_threshold(side, monkeypatch):
     assert np.array_equal(got.z, kept[0])
 
 
-#: HiGHS's default primal feasibility tolerance.  It is absolute, so an LP
-#: whose right-hand side is below it is solved only to within it.
-HIGHS_FEASIBILITY_TOL = 1e-7
-
-
 def check_family(problem: LcpProblem, idx: np.ndarray, points: list, tol: float, lp: bool):
     """``points`` are what ``_family_points`` may return for the support ``idx``.
 
-    At most two solutions, with zeros off the support and ``w = 0`` on it up to
-    the consistency slack, more than ``tol`` apart.  With ``lp``, HiGHS finds
-    ``P_S`` nonempty exactly when there are points, and a single point (no
-    spread in ``z``) exactly when there is one.
+    At most two solutions, more than ``tol`` apart, with zeros off the support
+    and ``w = 0`` on it up to the consistency slack at the sizes of ``q`` and
+    ``M z``.  With ``lp``, HiGHS finds ``P_S`` nonempty exactly when there are
+    points, and a single point (no spread in ``z``) exactly when there is one.
     """
     assert len(points) <= 2
-    slack = oracle.CONSISTENCY_RTOL * (1.0 + float(np.abs(problem.q).max()))
     rest = np.setdiff1d(np.arange(problem.n), idx)
+    row_sum = float(np.abs(problem.M).sum(axis=1).max())
     for z in points:
         assert validate(problem, z, tol).solved
         assert not z[rest].any()
-        assert np.abs(assemble_w(problem, z)[idx]).max() <= 4 * slack
+        size = float(np.abs(problem.q).max()) + row_sum * float(np.abs(z).max())
+        assert np.abs(assemble_w(problem, z)[idx]).max() <= 4 * oracle.CONSISTENCY_RTOL * size
     if len(points) == 2:
         assert np.abs(points[0] - points[1]).max() > tol
     if not lp:
@@ -493,20 +489,15 @@ def check_family(problem: LcpProblem, idx: np.ndarray, points: list, tol: float,
 
 @pytest.mark.parametrize("name", FIXTURES + list(CASES) + list(LARGER))
 def test_family_representatives_match_the_linprog_reference(name, request, monkeypatch):
-    """Every consistent singular support's points agree with HiGHS over its ``P_S``.
-
-    On the ``x1e-09`` cases ``max|q|`` is below HiGHS's absolute tolerance,
-    so there only the points themselves are checked.
-    """
+    """Every consistent singular support's points agree with HiGHS over its ``P_S``."""
     problem = LARGER[name] if name in LARGER else resolve(request, name)
     tol = 1e-8 * (1.0 + float(np.abs(problem.q).max()))
-    resolved = float(np.abs(problem.q).max()) > HIGHS_FEASIBILITY_TOL
     family_points = oracle._family_points
     families = []
 
     def checked(problem, idx, tol):
         points = family_points(problem, idx, tol)
-        check_family(problem, idx, points, tol, resolved)
+        check_family(problem, idx, points, tol, lp=True)
         families.append(len(points))
         return points
 
