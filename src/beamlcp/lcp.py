@@ -94,30 +94,43 @@ def assemble_w(problem: LcpProblem, z) -> np.ndarray:
     return problem.q + problem.M @ zv
 
 
+def w_rounding(problem: LcpProblem, z: np.ndarray):
+    """How far the computed ``w = q + M z`` may be off: ``(n + 1) eps (max|q| + r max|z|)``.
+
+    ``r`` is the largest row sum of ``|M|``; ``z`` is one point or a stack of them.
+    """
+    rows = float(np.abs(problem.M).sum(axis=1).max(initial=0.0))
+    size = float(np.abs(problem.q).max(initial=0.0)) + rows * np.abs(z).max(axis=-1, initial=0.0)
+    return (problem.n + 1) * np.finfo(np.float64).eps * size
+
+
 def validate(problem: LcpProblem, z, tol: float) -> ValidationReport:
     """Check z (with w recomputed from the problem) at tolerance tol.
 
-    Sign conditions use ``tol`` directly; the scalar gap test is scaled by
-    ``||q||_inf + ||z||_inf``; callers pass a ``tol`` relative to ``||q||_inf``.
+    Callers pass a ``tol`` relative to ``||q||_inf``.  The test on ``z`` uses it, the one on
+    ``w`` adds ``w``'s rounding ``ρ`` (:func:`w_rounding`), and the gap tests allow
+    ``tol (||q||_inf + ||z||_inf) + ρ ||z||_1``.
     """
     zv = as_vector(z, "z")
     w = assemble_w(problem, zv)
     min_z = float(zv.min()) if zv.size else 0.0
     min_w = float(w.min()) if w.size else 0.0
     comp_gap = float(zv @ w)
+    rounding = float(w_rounding(problem, zv))
+    w_tol = tol + rounding
     gap_tol = tol * (float(np.abs(problem.q).max(initial=0.0)) + float(np.abs(zv).max(initial=0.0)))
-    feasible = min_z >= -tol and min_w >= -tol
+    gap_tol += rounding * float(np.abs(zv).sum())
+    feasible = min_z >= -tol and min_w >= -w_tol
     solved = feasible and abs(comp_gap) <= gap_tol
 
-    violations = []
-    degenerate = []
+    violations, degenerate = [], []
     for i in range(problem.n):
         zi, wi = zv[i], w[i]
         if zi < -tol:
             violations.append((i, "z", float(-zi)))
-        if wi < -tol:
+        if wi < -w_tol:
             violations.append((i, "w", float(-wi)))
-        if abs(zi) <= tol and abs(wi) <= tol:
+        if abs(zi) <= tol and abs(wi) <= w_tol:
             degenerate.append(i)
         elif zi * wi > gap_tol:
             violations.append((i, "zw", float(zi * wi)))

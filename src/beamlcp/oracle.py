@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge
-from .lcp import LcpProblem, LcpSolution, assemble_w, validate
+from .lcp import LcpProblem, LcpSolution, assemble_w, validate, w_rounding
 
 __all__ = [
     "SingularSupport",
@@ -216,7 +216,8 @@ def _family_points(problem: LcpProblem, idx: np.ndarray, tol: float) -> list[np.
     independent rows of ``M[S, S]`` plus the other rows; with the row ``s * sum(v_S) = s``
     (``s`` the largest row sum of ``|a|``), those of ``a v = 0`` are its rays.  ``P_S`` is
     pointed, so this returns nothing, its first vertex, the first two vertices more than
-    ``tol`` apart, or the first vertex and a step along a ray.
+    ``tol`` apart, or the first vertex and a step along a ray, of length ``2 max|vertex|``
+    or more (1 when ``q = 0``).
     """
     n, q = problem.n, problem.q
     on = np.zeros(n, dtype=bool)
@@ -239,22 +240,19 @@ def _family_points(problem: LcpProblem, idx: np.ndarray, tol: float) -> list[np.
     ray = next((np.where(on, v[0], 0.0) for v in rays if len(v)), None)
     if ray is None:
         return [z[0].copy()]
-    return [z[0].copy(), z[0] + (1.0 + float(np.abs(z[0]).max())) * ray]
+    step = 2.0 * max(float(np.abs(z[0]).max()), n * tol) or 1.0  # more than tol from z[0]
+    return [z[0].copy(), z[0] + step * ray]
 
 
 def _screen(problem: LcpProblem, z: np.ndarray, tol: float) -> np.ndarray:
     """Rows of the (B, n) stack ``z`` that :func:`validate` could accept.
 
-    ``z >= -tol`` is tested exactly.  ``w = q + M z`` comes from one product
-    for the whole stack, whose rounding differs from the per-point product
-    in ``validate`` by at most ``(n + 1) * eps * (|q| + |M| |z|)``; the test
-    on ``w`` is loosened by four times that, so no acceptable point is lost.
+    ``z >= -tol`` is tested exactly.  ``w`` comes from one product for the whole stack; it
+    and ``validate``'s own are each within :func:`w_rounding` of the exact ``w``, which
+    ``validate`` allows again, so a slack of four times it loses no acceptable point.
     """
     w = problem.q + z @ problem.M.T
-    size = float(np.abs(problem.q).max()) + float(
-        np.abs(problem.M).sum(axis=1).max()
-    ) * np.abs(z).max(axis=1)
-    slack = 4.0 * (problem.n + 1) * np.finfo(np.float64).eps * size
+    slack = 4.0 * w_rounding(problem, z)
     return (z >= -tol).all(axis=1) & (w >= -(tol + slack)[:, None]).all(axis=1)
 
 
@@ -321,7 +319,7 @@ def _block_outcomes(
 
 
 def enumerate_solutions(
-    problem: LcpProblem, tol: float = 1e-9, cap: int = 14
+    problem: LcpProblem, tol: float, cap: int = 14
 ) -> EnumerationResult:
     """Enumerate all complementary supports of the problem.
 
@@ -371,7 +369,7 @@ def enumerate_solutions(
     )
 
 
-def certify_unique(problem: LcpProblem, tol: float = 1e-9, cap: int = 14) -> CertifyResult:
+def certify_unique(problem: LcpProblem, tol: float, cap: int = 14) -> CertifyResult:
     """Classify the solution set as unique, multiple, or empty.
 
     Consistent singular supports contribute their validated family points

@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from beamlcp.cli import main
+from beamlcp.cli import _tolerance, main
 from beamlcp.fileio import ProblemFile, save_problem
 from beamlcp.generate import gen_problem
 
@@ -286,7 +286,8 @@ def test_enumerate_builds_no_support_records(tmp_path, monkeypatch, capsys):
     assert not any(ln.startswith("singular support [") for ln in lines)
     assert built == []
     # Reading the property builds the records.
-    result = oracle.enumerate_solutions(assemble(load_problem(path).problem), cap=12)
+    lcp = assemble(load_problem(path).problem)
+    result = oracle.enumerate_solutions(lcp, tol=_tolerance(None, lcp), cap=12)
     assert built == []
     assert len(result.singular_supports) == 4**6 - 3**6
     assert len(built) == 4**6 - 3**6

@@ -15,6 +15,7 @@ from beamlcp import (
     assemble_w,
     validate,
 )
+from beamlcp.lcp import w_rounding
 
 
 def test_problem_validates_shapes():
@@ -93,6 +94,19 @@ def test_validate_per_term_complementarity():
     rep = validate(p, np.array([1.0, 0.0]), tol=1e-9)
     assert rep.feasible and not rep.solved
     assert rep.per_index_violations == ((0, "zw", 1.0),)
+
+
+def test_validate_allows_only_the_rounding_of_w_at_zero_tolerance():
+    """``q = 0``: the ray ``t (3, 1)`` of this ``M`` leaves a rounding-sized ``w``."""
+    p = LcpProblem(np.array([[0.1, -0.3], [-0.3, 0.9]]), np.zeros(2))
+    z = np.array([3.0, 1.0])
+    assert assemble_w(p, z).any()
+    assert validate(p, z, tol=0.0).solved
+    off = np.array([3.0, 1.0 - 1e-12])
+    rep = validate(p, off, tol=0.0)
+    assert not rep.solved
+    assert [(i, kind) for i, kind, _ in rep.per_index_violations] == [(0, "zw"), (1, "w")]
+    assert rep.per_index_violations[1][2] > 100 * w_rounding(p, off)
 
 
 @settings(max_examples=100, deadline=None)

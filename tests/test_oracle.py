@@ -61,7 +61,7 @@ def test_nonconvex_problem_reports_both_isolated_solutions():
     assert len(res.solutions) == 2
     assert np.array_equal(res.solutions[0].z, np.zeros(1))
     assert np.allclose(res.solutions[1].z, [1.0], rtol=0, atol=1e-12)
-    assert certify_unique(p).verdict is Verdict.MULTIPLE
+    assert certify_unique(p, tol=1e-9).verdict is Verdict.MULTIPLE
 
 
 def test_infeasible_problem_reports_none():

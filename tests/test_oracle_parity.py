@@ -37,8 +37,9 @@ from beamlcp import (
     oracle,
     to_contact_lcp,
 )
+from beamlcp.cli import _tolerance
 from beamlcp.generate import gen_beam, gen_cascade, gen_contact, gen_general
-from beamlcp.lcp import assemble_w, validate
+from beamlcp.lcp import assemble_w, validate, w_rounding
 
 
 def lu_smallest_pivot(mss: np.ndarray) -> float:
@@ -141,9 +142,9 @@ def test_svd_and_lu_classify_every_support_alike(problem):
 
 
 def test_enumeration_matches_the_scipy_reference(problem, monkeypatch):
-    new = certify_unique(problem)
+    new = certify_unique(problem, tol=_tolerance(None, problem))
     monkeypatch.setattr(oracle, "_smallest_singular_values", lu_smallest_pivots)
-    ref = certify_unique(problem)
+    ref = certify_unique(problem, tol=_tolerance(None, problem))
 
     assert new.verdict is ref.verdict
     assert new.enumeration.singular_supports == ref.enumeration.singular_supports
@@ -270,7 +271,7 @@ LARGER = larger()
 @pytest.mark.parametrize("name", FIXTURES + list(CASES) + list(LARGER))
 def test_blocks_reproduce_the_per_support_loop(name, request):
     problem = LARGER[name] if name in LARGER else resolve(request, name)
-    tol = 1e-8 * (1.0 + float(np.abs(problem.q).max()))
+    tol = _tolerance(None, problem)
     got = certify_unique(problem, tol=tol, cap=problem.n)
     kept, counts, singulars = loop_enumeration(problem, tol)
 
@@ -305,7 +306,7 @@ def test_consistency_test_matches_lstsq():
 
 def test_validate_runs_only_on_screened_survivors(monkeypatch):
     problem = assemble(gen_contact(6, np.random.default_rng(6)))
-    tol = 1e-8 * (1.0 + float(np.abs(problem.q).max()))
+    tol = _tolerance(None, problem)
     calls = []
 
     def counting(*args):
@@ -327,7 +328,7 @@ def test_working_memory_does_not_grow_with_the_block_count():
     assert (1 << problem.n) // oracle.BLOCK_SIZE >= 64
     tracemalloc.start()
     try:
-        result = enumerate_solutions(problem, cap=problem.n)
+        result = enumerate_solutions(problem, tol=_tolerance(None, problem), cap=problem.n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -339,7 +340,7 @@ def test_listing_memory_does_not_grow_with_the_singular_supports():
     problem = assemble(gen_contact(8, np.random.default_rng(8)))
     tracemalloc.start()
     try:
-        result = enumerate_solutions(problem, cap=problem.n)
+        result = enumerate_solutions(problem, tol=_tolerance(None, problem), cap=problem.n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -369,7 +370,7 @@ def counting_stacks(monkeypatch) -> dict:
 def test_paired_supports_skip_the_stacked_tests(monkeypatch):
     rows = counting_stacks(monkeypatch)
     contact = assemble(gen_contact(6, np.random.default_rng(6)))
-    result = enumerate_solutions(contact, tol=1e-8 * (1.0 + float(np.abs(contact.q).max())), cap=12)
+    result = enumerate_solutions(contact, tol=_tolerance(None, contact), cap=12)
     # Only the sign patterns of d reach the SVD, and all of them are nonsingular.
     assert rows == {"svd": 3**6 - 1, "lstsq": 0}
     assert len(result.singular_supports) == 4**6 - 3**6
@@ -378,7 +379,7 @@ def test_paired_supports_skip_the_stacked_tests(monkeypatch):
     rows.update(svd=0, lstsq=0)
     general = gen_general(8, np.random.default_rng(8))
     assert len(oracle._negated_pairs(general)[0]) == 0
-    enumerate_solutions(general, cap=8)
+    enumerate_solutions(general, tol=_tolerance(None, general), cap=8)
     assert rows["svd"] == 2**8 - 1
 
 
@@ -448,7 +449,7 @@ def test_the_pair_rule_agrees_with_the_loop_at_its_threshold(side, monkeypatch):
     assert pairs == ([(0, 2), (1, 3)] if side > 1.0 else [(1, 3)])
 
     rows = counting_stacks(monkeypatch)
-    tol = 1e-8 * (1.0 + float(np.abs(problem.q).max()))
+    tol = _tolerance(None, problem)
     got = certify_unique(problem, tol=tol, cap=problem.n)
     # Below the threshold {0, 2}, {0, 1, 2} and {0, 2, 3} reach the consistency test.
     assert rows["lstsq"] == (0 if side > 1.0 else 3)
@@ -464,18 +465,17 @@ def check_family(problem: LcpProblem, idx: np.ndarray, points: list, tol: float,
     """``points`` are what ``_family_points`` may return for the support ``idx``.
 
     At most two solutions, more than ``tol`` apart, with zeros off the support
-    and ``w = 0`` on it up to the consistency slack at the sizes of ``q`` and
-    ``M z``.  With ``lp``, HiGHS finds ``P_S`` nonempty exactly when there are
+    and ``w = 0`` on it up to the consistency slack at ``max|q|`` plus the
+    rounding of ``w``.  With ``lp``, HiGHS finds ``P_S`` nonempty exactly when there are
     points, and a single point (no spread in ``z``) exactly when there is one.
     """
     assert len(points) <= 2
     rest = np.setdiff1d(np.arange(problem.n), idx)
-    row_sum = float(np.abs(problem.M).sum(axis=1).max())
     for z in points:
         assert validate(problem, z, tol).solved
         assert not z[rest].any()
-        size = float(np.abs(problem.q).max()) + row_sum * float(np.abs(z).max())
-        assert np.abs(assemble_w(problem, z)[idx]).max() <= 4 * oracle.CONSISTENCY_RTOL * size
+        bound = oracle.CONSISTENCY_RTOL * float(np.abs(problem.q).max()) + w_rounding(problem, z)
+        assert np.abs(assemble_w(problem, z)[idx]).max() <= 4 * bound
     if len(points) == 2:
         assert np.abs(points[0] - points[1]).max() > tol
     if not lp:
@@ -491,7 +491,7 @@ def check_family(problem: LcpProblem, idx: np.ndarray, points: list, tol: float,
 def test_family_representatives_match_the_linprog_reference(name, request, monkeypatch):
     """Every consistent singular support's points agree with HiGHS over its ``P_S``."""
     problem = LARGER[name] if name in LARGER else resolve(request, name)
-    tol = 1e-8 * (1.0 + float(np.abs(problem.q).max()))
+    tol = _tolerance(None, problem)
     family_points = oracle._family_points
     families = []
 
@@ -532,7 +532,7 @@ def test_low_rank_integer_families_match_the_linprog_spread():
     seen = set()
     for seed in range(300):
         problem, idx = low_rank_family(seed)
-        tol = 1e-8 * (1.0 + float(np.abs(problem.q).max()))
+        tol = _tolerance(None, problem)
         points = oracle._family_points(problem, idx, tol)
         check_family(problem, idx, points, tol, lp=True)
         seen.add(len(points))
@@ -546,7 +546,7 @@ def test_the_widest_family_stays_within_a_few_mb():
     spd = a.T @ a + np.eye(7)
     mss = np.block([[spd, -spd], [-spd, spd]])
     problem = LcpProblem(mss, -(mss @ rng.uniform(0.0, 1.0, 14)))
-    tol = 1e-8 * (1.0 + float(np.abs(problem.q).max()))
+    tol = _tolerance(None, problem)
     tracemalloc.start()
     try:
         points = oracle._family_points(problem, np.arange(14), tol)
@@ -570,7 +570,7 @@ def test_a_pair_with_zero_gap_sum_reaches_the_family_representatives(monkeypatch
         return family_points(problem, idx, tol)
 
     monkeypatch.setattr(oracle, "_family_points", counted)
-    result = certify_unique(problem, tol=1e-8 * (1.0 + float(np.abs(problem.q).max())), cap=4)
+    result = certify_unique(problem, tol=_tolerance(None, problem), cap=4)
     assert result.verdict is Verdict.MULTIPLE
     assert calls
     assert all(s.consistent for s in result.enumeration.singular_supports)
@@ -620,7 +620,7 @@ def test_the_oracle_agrees_with_the_lp_referee_on_monotone_integer_lcps():
     seen = set()
     for seed in range(160):
         problem = monotone_integer_lcp(seed)
-        tol = 1e-8 * (1.0 + float(np.abs(problem.q).max()))
+        tol = _tolerance(None, problem)
         got = certify_unique(problem, tol=tol, cap=problem.n)
         solutions = got.enumeration.solutions
         assert got.verdict is referee(problem, solutions[0].z if solutions else None), seed

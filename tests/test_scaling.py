@@ -104,6 +104,28 @@ def test_cascade_problems_scale_exactly(seed, t, a, b):
     assert_certificate_equivariant(assemble_full(p), assemble_full(scale_cascade(p, 0, b)))
 
 
+def singular_psd(seed: int) -> LcpProblem:
+    """``M = B B'`` of rank below ``n``, and a ``q`` solved by a ``z >= 0`` of random support.
+
+    The support's family is a ray or segment of solutions whenever ``M_SS`` is singular.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    b = rng.standard_normal((n, int(rng.integers(1, n))))
+    m = b @ b.T
+    z = np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.5)
+    q = -(m @ z) + np.abs(rng.standard_normal(n)) * (z == 0) * (rng.random(n) < 0.5)
+    return LcpProblem(m, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, b=EXPONENTS)
+def test_singular_psd_families_keep_their_certificate(seed, b):
+    """The points of a family, rays included, scale with ``q``, so they validate alike."""
+    p = singular_psd(seed)
+    assert_certificate_equivariant(p, LcpProblem(p.M, np.ldexp(p.q, b)))
+
+
 @pytest.mark.xfail(strict=True, reason="validate compares z with a tol in the units of q")
 def test_scaling_m_up_keeps_the_certificate():
     """A beam whose ``M`` grows by ``2^18``: ``z`` shrinks by as much, ``tol`` does not.
@@ -149,11 +171,15 @@ def test_enumerate_finds_the_one_solution_at_small_scale(tmp_path, capsys, seed)
 
 
 #: ``q = 0``: ``z = 0`` solves each; ``M = I`` has no other solution, the
-#: singular PSD and the skew ``M`` have a ray of them.
+#: singular PSD and the skew ``M`` have a ray of them.  On the last two rays
+#: (``t (2, 1)`` and ``t (3, 1)``) the computed ``w`` is not exactly 0: the
+#: tolerance is 0 there, and only ``validate``'s rounding allowance keeps them.
 ZERO_Q = {
     "identity": (np.eye(2), "unique", 0),
     "singular-psd": (np.array([[1.0, -1.0], [-1.0, 1.0]]), "multiple", 4),
     "skew": (np.array([[0.0, 1.0], [-1.0, 0.0]]), "multiple", 4),
+    "ray-2-1": (np.array([[1.0, -2.0], [-2.0, 4.0]]), "multiple", 4),
+    "inexact-ray-3-1": (np.array([[0.1, -0.3], [-0.3, 0.9]]), "multiple", 4),
 }
 
 
