@@ -48,6 +48,9 @@ EXIT_MULTIPLE = 4
 
 _SOLVER_FAILURES = (RayTermination, PivotLimitExceeded, NumericalBreakdown, MaxIterationsExceeded)
 
+#: Each kind's solver when --solver is left out; only lemke may replace it.
+_OWN_SOLVER = {"general": "lemke", "contact": "pgs", "beam": "pgs", "cascade": "cascade"}
+
 
 def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
     """``--help``: click's own callback, but writing to the current ``sys.stdout``."""
@@ -171,8 +174,8 @@ def _fail(exc: Exception, code: int) -> int:
 @click.option(
     "--solver",
     type=click.Choice(["lemke", "pgs", "cascade"]),
-    default="lemke",
-    show_default=True,
+    help=f"[default: {', '.join(f'{s} for {k}' for k, s in _OWN_SOLVER.items())}]; "
+    "lemke takes any kind.",
 )
 @_TOL_OPTION
 @click.option(
@@ -186,10 +189,9 @@ def cmd_solve(input_path, output_path, solver, tol, cap) -> int:
     except SchemaError as exc:
         return _fail(exc, EXIT_USAGE)
 
-    if solver == "pgs" and pf.kind not in ("contact", "beam"):
-        raise click.UsageError("--solver pgs requires a contact or beam problem")
-    if solver == "cascade" and pf.kind != "cascade":
-        raise click.UsageError("--solver cascade requires a cascade problem")
+    solver = solver or _OWN_SOLVER[pf.kind]
+    if solver not in ("lemke", _OWN_SOLVER[pf.kind]):
+        raise click.UsageError(f"--solver {solver} does not take a {pf.kind} problem")
 
     try:
         start = time.perf_counter()

@@ -11,9 +11,12 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from beamlcp.cli import _tolerance, main
-from beamlcp.fileio import ProblemFile, save_problem
+from beamlcp.cli import _structure, _tolerance, main
+from beamlcp.errors import SchemaError
+from beamlcp.fileio import ProblemFile, parse_problem, save_problem
 from beamlcp.generate import gen_problem
 
 
@@ -58,7 +61,7 @@ def test_solve_writes_report_and_exits_zero(tmp_path, contact_file, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["solved"] is True
-    assert report["solver_tag"] == "lemke"
+    assert report["solver_tag"] == "pgs"
     assert report["kind"] == "contact"
     assert np.allclose(report["z"], [1.0, 0.0], rtol=0, atol=1e-9)
     assert report["residuals"]["min_z"] >= 0.0
@@ -79,6 +82,20 @@ def test_solve_pgs_on_contact(tmp_path, contact_file):
     report = json.loads(out.read_text())
     assert report["solver_tag"] == "pgs"
     assert np.allclose(report["z"], [1.0, 0.0], rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    ("kind", "solver"),
+    [("general", "lemke"), ("contact", "pgs"), ("beam", "pgs"), ("cascade", "cascade")],
+)
+def test_solve_defaults_to_the_kinds_own_solver(tmp_path, kind, solver):
+    path = write_problem(tmp_path, kind, "p.json")
+    out = tmp_path / "report.json"
+    assert main(["solve", "--input", str(path), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["solver_tag"] == solver
+    # An explicit --solver runs what it names, also where it is not the default.
+    assert main(["solve", "--input", str(path), "--solver", "lemke", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["solver_tag"] == "lemke"
 
 
 def test_solve_pgs_rejected_on_general(tmp_path, degenerate_file):
@@ -542,3 +559,114 @@ def test_commands_agree_at_every_unit_scale(tmp_path, kind, scale):
             assert main([*solve, "--cap", "8"]) == 0, (seed, solver)
             assert json.loads(out.read_text())["uniqueness_verdict"] == "unique"
         assert main(["enumerate", "--input", str(path)]) == 0, seed
+
+
+def _solve_then_verify(tmp_path, doc, *solver):
+    """Exit codes of ``solve``, with ``--solver`` if given, and of ``verify`` on its report."""
+    path = write_raw(tmp_path, "beam.json", doc)
+    out = tmp_path / "report.json"
+    solved = main(["solve", "--input", str(path), *solver, "--output", str(out)])
+    return solved, main(["verify", "--input", str(path), "--output", str(out)])
+
+
+#: n = 6 with clearances from 2e-8 to 6e-4: Lemke hits a ray (exit 3) on it.
+RAY6 = {
+    "kind": "beam",
+    "payload": {
+        "length": 0.41559124726346863,
+        "ei": 3.849171584853619e-06,
+        "stabilizers": [
+            {"position": 0.000936517018, "gap": 2.7228946320625185e-06},
+            {"position": 0.000959874407, "gap": 4.364685534845466e-08},
+            {"position": 0.017774899709, "gap": 0.0005990511252514615},
+            {"position": 0.320460104759, "gap": 2.255350634487277e-08},
+            {"position": 0.369556669402, "gap": 0.00031308324346946537},
+            {"position": 0.411777249659, "gap": 2.855153333209378e-08},
+        ],
+        "loads": [
+            {"position": 0.1986507747717826, "magnitude": 230.71872951424194},
+            {"position": 0.2676778587532227, "magnitude": -0.40712049078660023},
+            {"position": 0.40005310102008157, "magnitude": 0.24183234750049348},
+            {"position": 0.2265873207149729, "magnitude": 30.031084507383408},
+        ],
+    },
+}
+
+#: Four stabilizers 2.8e-4 apart on a beam of length 126 (cond K about 7e15):
+#: the rounding of g = K d + c exceeds the active set's own tolerance.
+B111 = {
+    "kind": "beam",
+    "payload": {
+        "length": 126.24668179941753,
+        "ei": 0.004964142607482638,
+        "stabilizers": [
+            {"position": 116.39704706835018, "gap": 5.090765593797087e-05},
+            {"position": 116.39732382058679, "gap": 0.02036603868470773},
+            {"position": 116.39760057282342, "gap": 0.009715902795525344},
+            {"position": 116.39787732506004, "gap": 0.013129138500095998},
+        ],
+        "loads": [
+            {"position": 70.09750864554915, "magnitude": -0.22626816060772892},
+            {"position": 117.17783083265321, "magnitude": -0.0869957262858148},
+            {"position": 80.31059132077532, "magnitude": -45.349066366149096},
+            {"position": 79.94917001212147, "magnitude": 0.02390279749250227},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    ("doc", "solver"), [(RAY6, ()), (B111, ("--solver", "pgs"))], ids=["ray6", "b111-pgs"]
+)
+def test_solve_and_verify_exit_zero_on_ill_conditioned_beams(tmp_path, doc, solver):
+    assert _solve_then_verify(tmp_path, doc, *solver) == (0, 0)
+
+
+@st.composite
+def beam_files(draw):
+    """A beam file: n in 3-59, length 10^U(-3,3), ei 10^U(-6,8), clearances 10^U(-6,0) length/100.
+
+    Four loads sit at U(0.01, 0.99) length with magnitude u 10^U(-3,3), u in
+    [-3, 3] (the bulk of a standard normal).  The stabilizers are clustered
+    (spacing 10^U(-9,-3) length), uniform at random, or evenly spaced.
+    """
+    n = draw(st.integers(3, 59))
+    length = 10.0 ** draw(st.floats(-3.0, 3.0))
+    layout = draw(st.sampled_from(["clustered", "uniform", "even"]))
+    if layout == "clustered":
+        spacing = 10.0 ** draw(st.floats(-9.0, -3.0))
+        start = draw(st.floats(0.01, 0.9))
+        fractions = [start + i * spacing for i in range(n)]
+    elif layout == "uniform":
+        unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        fractions = sorted(draw(st.lists(unit, min_size=n, max_size=n, unique=True)))
+    else:
+        fractions = [(i + 1) / (n + 1) for i in range(n)]
+    stabilizers = [
+        {"position": f * length, "gap": 10.0 ** draw(st.floats(-6.0, 0.0)) * length / 100.0}
+        for f in fractions
+    ]
+    loads = [
+        {
+            "position": draw(st.floats(0.01, 0.99)) * length,
+            "magnitude": draw(st.floats(-3.0, 3.0)) * 10.0 ** draw(st.floats(-3.0, 3.0)),
+        }
+        for _ in range(4)
+    ]
+    ei = 10.0 ** draw(st.floats(-6.0, 8.0))
+    return {
+        "kind": "beam",
+        "payload": {"length": length, "ei": ei, "stabilizers": stabilizers, "loads": loads},
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=beam_files())
+def test_default_solve_exits_zero_on_every_beam_that_parses(tmp_path_factory, doc):
+    # The file parses when its beam gives a contact model: a K that is
+    # positive definite in floating point, and distinct interior positions.
+    try:
+        _structure(parse_problem(json.dumps(doc)))
+    except SchemaError:
+        assume(False)
+    assert _solve_then_verify(tmp_path_factory.mktemp("beam"), doc) == (0, 0)

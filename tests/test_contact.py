@@ -29,6 +29,7 @@ from beamlcp import (
 )
 from beamlcp import contact
 from beamlcp.generate import gen_contact
+from beamlcp.lcp import w_rounding
 
 
 def test_construction_rejects_bad_inputs():
@@ -228,6 +229,10 @@ def test_solve_structured_solve_limit(monkeypatch):
     assert dist == pytest.approx(exc.residual, rel=1e-12, abs=1e-15)
     max_q = np.abs(np.concatenate([cvec, two_y - cvec])).max()
     assert exc.residual > PgsOptions().tol_scale * max_q
+    # The message names the bound applied: the tolerance plus w's rounding.
+    bound = PgsOptions().tol_scale * max_q
+    bound += w_rounding(assemble(c), np.concatenate(split_signed(d)))
+    assert f"above tolerance plus rounding {bound:.3e} in" in str(exc)
 
 
 def test_as_lcp_solution_round_trip(contact_2d):
