@@ -9,6 +9,7 @@ solvers and the CLI all report through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,11 @@ class LcpProblem:
     @property
     def n(self) -> int:
         return self.q.shape[0]
+
+    @cached_property
+    def max_row_sum(self) -> float:
+        """The largest row sum of ``|M|``, computed once: ``M`` is read-only."""
+        return float(np.abs(self.M).sum(axis=1).max(initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +103,10 @@ def assemble_w(problem: LcpProblem, z) -> np.ndarray:
 def w_rounding(problem: LcpProblem, z: np.ndarray):
     """How far the computed ``w = q + M z`` may be off: ``(n + 1) eps (max|q| + r max|z|)``.
 
-    ``r`` is the largest row sum of ``|M|``; ``z`` is one point or a stack of them.
+    ``r`` is :attr:`LcpProblem.max_row_sum`; ``z`` is one point or a stack of them.
     """
-    rows = float(np.abs(problem.M).sum(axis=1).max(initial=0.0))
-    size = float(np.abs(problem.q).max(initial=0.0)) + rows * np.abs(z).max(axis=-1, initial=0.0)
+    size = float(np.abs(problem.q).max(initial=0.0))
+    size += problem.max_row_sum * np.abs(z).max(axis=-1, initial=0.0)
     return (problem.n + 1) * np.finfo(np.float64).eps * size
 
 

@@ -7,7 +7,10 @@ singular support carries a whole affine family of candidates, and every
 point of its feasible part (``z_S >= 0`` and ``w >= 0`` off the support) is
 a solution, with ``w = 0`` on the support.
 
-Supports are handled in blocks of ``BLOCK_SIZE`` consecutive bitmasks.
+The bitmasks are scanned in chunks of ``16 * BLOCK_SIZE`` consecutive
+masks.  Integer operations on a chunk flag the supports that the pair rule
+below settles, and the rest go on in blocks of ``BLOCK_SIZE`` masks, all
+full but the last of each chunk.
 Within a block the supports of each size are gathered into stacked arrays
 and go through one stacked SVD (the singularity test), one stacked solve
 (the nonsingular supports) and one stacked SVD of the singular ones (the
@@ -27,9 +30,10 @@ One exact rule settles many supports without LAPACK.  When rows ``i`` and
 singular, and any ``z`` leaves residuals on those rows that sum to
 ``q_i + q_j``.  If ``|q_i + q_j|`` exceeds ``PAIR_MARGIN`` times the
 consistency threshold at ``max|q|``, the support is recorded as singular and
-inconsistent straight away.  The paired matrices of contact, beam and
-cascade problems have such a pair for every physical index, so only their
-3^n sign patterns reach the stacked calls; general problems rarely have any.
+inconsistent straight away, without leaving the chunk.  The paired matrices
+of contact, beam and cascade problems have such a pair for every physical
+index, so only their 3^n sign patterns reach the blocks; general problems
+rarely have any, and all their masks do.
 
 A consistent singular support needs no LP solver: :func:`_family_points`
 solves the bases of its family's feasible part in stacked NumPy calls and
@@ -76,10 +80,10 @@ CONSISTENCY_RTOL = 1e-8
 #: of the two rows, so 4 keeps the rule twice inside the least-squares test.
 PAIR_MARGIN = 4.0
 
-#: Consecutive support bitmasks classified together, and the bases of a
-#: family solved together.  One stacked call per support size (or chunk of
-#: bases) amortizes NumPy's per-call cost, and the working arrays stay a few
-#: MB at dimension 18 however many blocks a problem has.
+#: Supports classified together, and the bases of a family solved together.
+#: One stacked call per support size (or chunk of bases) amortizes NumPy's
+#: per-call cost, and the working arrays stay a few MB at dimension 18
+#: however many blocks a problem has.
 BLOCK_SIZE = 1024
 
 
@@ -271,7 +275,7 @@ def _negated_pairs(problem: LcpProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_outcomes(
-    problem: LcpProblem, masks: np.ndarray, tol: float, pairs: tuple[np.ndarray, np.ndarray]
+    problem: LcpProblem, masks: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """What the supports ``masks`` contribute: ``(singular, consistent, candidates)``.
 
@@ -279,18 +283,17 @@ def _block_outcomes(
     nonsingular support is not consistent).  ``candidates`` are the
     full-length points still to validate, in ascending mask order: the
     screened solution of each nonsingular support and the family points of
-    each consistent singular one.  A support that holds one of ``pairs`` is
-    singular and inconsistent with no candidates.  The other supports of one
-    size share one stacked SVD, solve and screen.
+    each consistent singular one.  ``masks`` are ascending and nonzero, and
+    none holds a pair of :func:`_negated_pairs`; the supports of one size
+    share one stacked SVD, solve and screen.
     """
     n = problem.n
     bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
     sizes = bits.sum(axis=1)
-    singular = (bits[:, pairs[0]] & bits[:, pairs[1]]).any(axis=1)
+    singular = np.zeros(masks.size, dtype=bool)
     consistent = np.zeros(masks.size, dtype=bool)
     found = []
-    sizes[singular] = 0
-    for k in np.unique(sizes[sizes > 0]).tolist():
+    for k in np.unique(sizes).tolist():
         rows = np.flatnonzero(sizes == k)
         idx = np.nonzero(bits[rows])[1].reshape(-1, k)
         mss = problem.M[idx[:, :, None], idx[:, None, :]]
@@ -347,15 +350,25 @@ def enumerate_solutions(
         kept.append(z)
         counts.append(1)
 
-    pairs = _negated_pairs(problem)
+    pairs = np.transpose(_negated_pairs(problem)).tolist()
     consider(np.zeros(n))
-    for start in range(1, total, BLOCK_SIZE):
-        masks = np.arange(start, min(start + BLOCK_SIZE, total), dtype=np.int64)
-        singular, consistent, candidates = _block_outcomes(problem, masks, tol, pairs)
+    chunk = 16 * BLOCK_SIZE
+    for start in range(1, total, chunk):
+        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        singular = np.zeros(masks.size, dtype=bool)
+        for i, j in pairs:
+            singular |= ((masks >> i) & (masks >> j) & 1).astype(bool)
+        consistent = np.zeros(masks.size, dtype=bool)
+        unpaired = np.flatnonzero(~singular)
+        for first in range(0, unpaired.size, BLOCK_SIZE):
+            block = unpaired[first:first + BLOCK_SIZE]
+            singular[block], consistent[block], candidates = _block_outcomes(
+                problem, masks[block], tol
+            )
+            for z in candidates:
+                consider(z)
         singular_masks.append(masks[singular])
         singular_consistent.append(consistent[singular])
-        for z in candidates:
-            consider(z)
 
     solutions = []
     for z in kept:

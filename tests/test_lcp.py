@@ -13,8 +13,12 @@ from beamlcp import (
     LcpProblem,
     assemble,
     assemble_w,
+    certify_unique,
+    lcp,
+    to_contact_lcp,
     validate,
 )
+from beamlcp.generate import gen_beam, gen_contact, gen_general
 from beamlcp.lcp import w_rounding
 
 
@@ -136,3 +140,37 @@ def test_validate_is_consistent_with_its_parts(seed, n):
     assert rep.solved == (rep.feasible and abs(rep.comp_gap) <= scale)
     if rep.solved:
         assert rep.feasible
+
+
+def test_max_row_sum_is_cached_and_leaves_validate_unchanged(monkeypatch):
+    """The cached bound is the formula ``w_rounding`` used per call; reports keep every field."""
+    rng = np.random.default_rng(21)
+    problems = [
+        LcpProblem(np.zeros((0, 0)), np.zeros(0)),
+        LcpProblem(np.zeros((2, 2)), [1.0, -1.0]),
+        LcpProblem(rng.standard_normal((4, 4)), rng.standard_normal(4)),
+        gen_general(5, rng),
+        assemble(gen_contact(4, rng)),
+        assemble(to_contact_lcp(gen_beam(4, rng))),
+    ]
+    points = []
+    for p in problems:
+        assert p.max_row_sum == float(np.abs(p.M).sum(axis=1).max(initial=0.0))
+        assert p.__dict__["max_row_sum"] is p.max_row_sum
+        tol = 1e-8 * float(np.abs(p.q).max(initial=1.0))
+        z_star = certify_unique(p, tol=tol, cap=p.n).z if p.n else None
+        for z in (np.zeros(p.n), rng.uniform(-1.0, 2.0, p.n), z_star):
+            if z is not None:
+                points.append((p, z, tol))
+
+    got = [validate(p, z, tol) for p, z, tol in points]
+
+    def recomputed(problem, z):
+        rows = float(np.abs(problem.M).sum(axis=1).max(initial=0.0))
+        size = float(np.abs(problem.q).max(initial=0.0))
+        size += rows * np.abs(z).max(axis=-1, initial=0.0)
+        return (problem.n + 1) * np.finfo(np.float64).eps * size
+
+    monkeypatch.setattr(lcp, "w_rounding", recomputed)
+    assert got == [validate(p, z, tol) for p, z, tol in points]
+    assert any(r.solved for r in got) and not all(r.solved for r in got)

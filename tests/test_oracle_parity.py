@@ -383,6 +383,32 @@ def test_paired_supports_skip_the_stacked_tests(monkeypatch):
     assert rows["svd"] == 2**8 - 1
 
 
+def test_only_unpaired_supports_reach_the_blocks_and_fill_them(monkeypatch):
+    blocks = []
+    block_outcomes = oracle._block_outcomes
+
+    def recorded(problem, masks, tol):
+        blocks.append(masks.copy())
+        return block_outcomes(problem, masks, tol)
+
+    monkeypatch.setattr(oracle, "_block_outcomes", recorded)
+    contact = assemble(gen_contact(6, np.random.default_rng(6)))
+    enumerate_solutions(contact, tol=_tolerance(None, contact), cap=12)
+    masks = np.concatenate(blocks)
+    i, j = oracle._negated_pairs(contact)
+    assert i.size == 6
+    assert masks.size == 3**6 - 1
+    assert (np.diff(masks) > 0).all()
+    assert not ((masks[:, None] >> i) & (masks[:, None] >> j) & 1).any()
+    assert len(blocks) == -(-masks.size // oracle.BLOCK_SIZE)
+    assert all(b.size == oracle.BLOCK_SIZE for b in blocks[:-1])
+
+    blocks.clear()
+    general = gen_general(8, np.random.default_rng(8))
+    enumerate_solutions(general, tol=_tolerance(None, general), cap=8)
+    assert np.array_equal(np.concatenate(blocks), np.arange(1, 2**8))
+
+
 def pair_threshold(q: np.ndarray) -> float:
     """The smallest ``|q_i + q_j|`` beyond which the pair rule applies."""
     return oracle.PAIR_MARGIN * oracle.CONSISTENCY_RTOL * float(np.abs(q).max())
@@ -459,6 +485,33 @@ def test_the_pair_rule_agrees_with_the_loop_at_its_threshold(side, monkeypatch):
     assert got.verdict is Verdict.UNIQUE
     assert got.enumeration.multiplicities == tuple(counts)
     assert np.array_equal(got.z, kept[0])
+
+
+@pytest.mark.parametrize("block_size", [1, 3, 7])
+@pytest.mark.parametrize(
+    "name", ["contact-n4-s0", "beam-n4-s0", "cascade-t2-n2-s0", "lifted-singular-psd",
+             "pair-below", "pair-above"],
+)
+def test_split_blocks_and_chunks_reproduce_the_per_support_loop(name, block_size, monkeypatch):
+    """Blocks of 1, 3 or 7 supports, and chunks of 16, 48 or 112 masks, change nothing.
+
+    ``pair-below`` and ``pair-above`` have one negated pair beyond the pair
+    rule's threshold and one just below or above it.
+    """
+    if name.startswith("pair-"):
+        gap = (0.999 if name == "pair-below" else 1.001) * pair_threshold(np.ones(1))
+        m = np.block([[PAIRED_K, -PAIRED_K], [-PAIRED_K, PAIRED_K]])
+        problem = LcpProblem(m, [-1.0 + gap, 0.5, 1.0, 0.5])
+    else:
+        problem = CASES[name]
+    tol = _tolerance(None, problem)
+    monkeypatch.setattr(oracle, "BLOCK_SIZE", block_size)
+    got = enumerate_solutions(problem, tol=tol, cap=problem.n)
+    kept, counts, singulars = loop_enumeration(problem, tol)
+    assert got.singular_supports == singulars
+    assert got.multiplicities == tuple(counts)
+    for sol, z in zip(got.solutions, kept, strict=True):
+        assert np.array_equal(sol.z, z)
 
 
 def check_family(problem: LcpProblem, idx: np.ndarray, points: list, tol: float, lp: bool):
