@@ -106,17 +106,14 @@ def influence(x: float, a: float, length: float, ei: float) -> float:
         raise OutOfDomain(f"evaluation point {x} outside (0, {length})")
     if not 0.0 < a < length:
         raise OutOfDomain(f"load position {a} outside (0, {length})")
-    if x > a:
-        x, a = a, x
-    b = length - a
-    return b * x * (length * length - b * b - x * x) / (6.0 * length * ei)
+    return float(_influence_table(np.float64(x), np.float64(a), length, ei))
 
 
 def _influence_table(xs: np.ndarray, a: np.ndarray, length: float, ei: float) -> np.ndarray:
-    """influence(xs[i], a[j]) for all i, j, with the scalar formula's operation order."""
+    """influence(xs[i], a[j]) for all i, j, without its domain checks; scalars give a scalar."""
     x = np.minimum.outer(xs, a)
     b = length - np.maximum.outer(xs, a)
-    with np.errstate(over="ignore", invalid="ignore"):  # the callers reject non-finite entries
+    with np.errstate(over="ignore", invalid="ignore"):  # the builders reject non-finite entries
         return b * x * (length * length - b * b - x * x) / (6.0 * length * ei)
 
 

@@ -126,8 +126,10 @@ def cascade_stages(p: CascadeProblem, options: PgsOptions | None = None) -> list
     """Solve blocks in order, returning per-stage diagnostics.
 
     q_hat2 is formed as (q1 + q2) - q_hat1 rather than by shifting q2
-    directly; the two are mathematically identical and this form keeps the
-    gap-sum identity q_hat1 + q_hat2 = q1 + q2 exact in floating point.
+    directly.  The two are mathematically identical, but q_hat1 + q_hat2 can
+    still round away from q1 + q2, so the stage is built from the block's
+    fixed clearance y* = (q1 + q2) / 2 and the offset q_hat1 - y*: its gaps
+    then keep gamma_l + gamma_u = 2 y* = q1 + q2 exact in floating point.
     """
     stages: list[CascadeStage] = []
     net_forces: list[np.ndarray] = []
@@ -136,11 +138,10 @@ def cascade_stages(p: CascadeProblem, options: PgsOptions | None = None) -> list
         for j, ktilde in blk.couplings:
             shift += ktilde @ net_forces[j]
         gap_sum = blk.q1 + blk.q2
+        y_star = 0.5 * gap_sum
         q_hat1 = blk.q1 + shift
         q_hat2 = gap_sum - q_hat1
-        contact = ContactLcp(
-            blk.K, 0.5 * (q_hat1 - q_hat2), 0.5 * (q_hat1 + q_hat2)
-        )
+        contact = ContactLcp(blk.K, q_hat1 - y_star, y_star)
         sol = solve_structured(contact, options)
         net_forces.append(sol.d)
         stages.append(CascadeStage(contact, sol, q_hat1, q_hat2))

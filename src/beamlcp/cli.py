@@ -27,7 +27,6 @@ from .beam import to_contact_lcp
 from .cascade import as_lcp_solution, assemble_full, solve_cascade
 from .contact import assemble, solve_structured, split_signed
 from .errors import (
-    DimensionTooLarge,
     LcpError,
     MaxIterationsExceeded,
     NumericalBreakdown,
@@ -163,6 +162,15 @@ def _print(lines: list[str]) -> None:
     click.echo("\n".join(lines), file=sys.stdout)
 
 
+def _emit(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to the current ``sys.stdout`` without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        click.echo(text, nl=False, file=sys.stdout)
+
+
 def _fail(exc: Exception, code: int) -> int:
     click.echo(f"error: {exc}", file=sys.stderr)
     return code
@@ -183,29 +191,20 @@ def _fail(exc: Exception, code: int) -> int:
 )
 def cmd_solve(input_path, output_path, solver, tol, cap) -> int:
     """Solve a problem file and write a report."""
-    try:
-        pf = fileio.load_problem(input_path)
-        problem, lcp, sizes, _ = _structure(pf)
-    except SchemaError as exc:
-        return _fail(exc, EXIT_USAGE)
-
+    pf = fileio.load_problem(input_path)
+    problem, lcp, sizes, _ = _structure(pf)
     solver = solver or _OWN_SOLVER[pf.kind]
     if solver not in ("lemke", _OWN_SOLVER[pf.kind]):
         raise click.UsageError(f"--solver {solver} does not take a {pf.kind} problem")
 
-    try:
-        start = time.perf_counter()
-        if solver == "lemke":
-            sol = lemke_solve(lcp)
-        elif solver == "pgs":
-            sol = solve_structured(problem).as_lcp_solution()
-        else:
-            sol = as_lcp_solution(problem, solve_cascade(problem))
-        wall = time.perf_counter() - start
-    except _SOLVER_FAILURES as exc:
-        return _fail(exc, EXIT_NONE)
-    except LcpError as exc:
-        return _fail(exc, EXIT_USAGE)
+    start = time.perf_counter()
+    if solver == "lemke":
+        sol = lemke_solve(lcp)
+    elif solver == "pgs":
+        sol = solve_structured(problem).as_lcp_solution()
+    else:
+        sol = as_lcp_solution(problem, solve_cascade(problem))
+    wall = time.perf_counter() - start
 
     tol = _tolerance(tol, lcp)
     report = validate(lcp, sol.z, tol)
@@ -226,18 +225,8 @@ def cmd_solve(input_path, output_path, solver, tol, cap) -> int:
     if sizes is not None:
         doc["contact"] = _contact_section(sol.z, sol.w, sizes)
     if cap is not None:
-        try:
-            cert = certify_unique(lcp, tol=tol, cap=cap)
-        except DimensionTooLarge as exc:
-            return _fail(exc, EXIT_USAGE)
-        doc["uniqueness_verdict"] = cert.verdict.value
-
-    text = json.dumps(doc) + "\n"
-    if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False, file=sys.stdout)
+        doc["uniqueness_verdict"] = certify_unique(lcp, tol=tol, cap=cap).verdict.value
+    _emit(json.dumps(doc) + "\n", output_path)
     return EXIT_SOLVED if report.solved else EXIT_INVALID
 
 
@@ -252,19 +241,14 @@ def cmd_solve(input_path, output_path, solver, tol, cap) -> int:
 @_TOL_OPTION
 def cmd_verify(input_path, solution_path, tol) -> int:
     """Re-validate a stored solution against its problem."""
-    try:
-        pf = fileio.load_problem(input_path)
-        _, lcp, sizes, gap_sums = _structure(pf)
-        with open(solution_path, encoding="utf-8") as fh:
-            doc = fileio.parse_report(fh.read())
-        z = np.asarray(doc["z"], dtype=np.float64)
-        if z.shape[0] != lcp.n:
-            raise SchemaError(
-                f"z has length {z.shape[0]} but the problem has dimension {lcp.n}",
-                field="report.z",
-            )
-    except (SchemaError, OSError) as exc:
-        return _fail(exc, EXIT_USAGE)
+    _, lcp, sizes, gap_sums = _structure(fileio.load_problem(input_path))
+    with open(solution_path, encoding="utf-8") as fh:
+        doc = fileio.parse_report(fh.read())
+    z = np.asarray(doc["z"], dtype=np.float64)
+    if z.shape[0] != lcp.n:
+        raise SchemaError(
+            f"z has length {z.shape[0]} but the problem has dimension {lcp.n}", field="report.z"
+        )
 
     report = validate(lcp, z, _tolerance(tol, lcp))
     lines = [
@@ -297,13 +281,8 @@ def cmd_verify(input_path, solution_path, tol) -> int:
 @click.option("--cap", type=int, default=14, show_default=True)
 def cmd_enumerate(input_path, tol, cap) -> int:
     """List the isolated solutions and up to two points per family; classify uniqueness."""
-    try:
-        pf = fileio.load_problem(input_path)
-        _, lcp, _, _ = _structure(pf)
-        cert = certify_unique(lcp, tol=_tolerance(tol, lcp), cap=cap)
-    except (SchemaError, DimensionTooLarge) as exc:
-        return _fail(exc, EXIT_USAGE)
-
+    _, lcp, _, _ = _structure(fileio.load_problem(input_path))
+    cert = certify_unique(lcp, tol=_tolerance(tol, lcp), cap=cap)
     enum = cert.enumeration
     lines = [
         f"solution (x{count}): {sol.z.tolist()}"
@@ -342,17 +321,15 @@ def cmd_gen(kind, n, t, seed, output_path) -> int:
     pf = fileio.ProblemFile(
         kind, problem, {"name": f"{kind}-n{n}-seed{seed}", "seed": seed}
     )
-    text = fileio.serialize_problem(pf)
-    if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False, file=sys.stdout)
+    _emit(fileio.serialize_problem(pf), output_path)
     return EXIT_SOLVED
 
 
 def main(argv=None) -> int:
-    """Entry point returning the exit code (console script wraps it in sys.exit)."""
+    """Entry point returning the exit code (console script wraps it in sys.exit).
+
+    The commands raise; this is the one map from errors to exit codes.
+    """
     try:
         rv = cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
@@ -362,6 +339,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except click.Abort:
         return EXIT_USAGE
+    except _SOLVER_FAILURES as exc:
+        return _fail(exc, EXIT_NONE)
+    except (LcpError, OSError) as exc:
+        return _fail(exc, EXIT_USAGE)
     return rv if isinstance(rv, int) else EXIT_SOLVED
 
 

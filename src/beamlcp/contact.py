@@ -15,7 +15,8 @@ Note on naming: K enters these equations in a compliance role (it maps force
 to displacement-like gaps) even though it is assembled from stiffness-style
 data; the contracts here only require it to be symmetric positive definite.
 
-The structured solver never forms M.  Because opposing wall forces cannot
+The structured solver works on K, and assembles M only to bound rounding
+when its plain residual test fails.  Because opposing wall forces cannot
 both be positive, the problem reduces to the strictly convex nonsmooth
 minimization of
 

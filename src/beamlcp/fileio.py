@@ -4,7 +4,8 @@ Problem files carry ``kind`` (general | contact | cascade | beam), a
 ``payload`` whose layout depends on the kind, and optional ``metadata``
 (name, seed).  Matrices are nested arrays, vectors flat arrays.  Floats are
 written with repr round-tripping, so parse(serialize(p)) reproduces p
-bit-exactly.
+bit-exactly.  One table, ``_SCHEMAS``, gives each kind's layout; it drives
+both parsing and writing, and parsing checks the fields in file order.
 
 Solve reports are plain JSON dicts produced by the CLI; ``parse_report``
 validates just enough structure to re-verify a solution.
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .beam import BeamConfig, PointLoad, Stabilizer
 from .cascade import CascadeBlock, CascadeProblem
@@ -31,8 +34,6 @@ __all__ = [
     "save_problem",
     "parse_report",
 ]
-
-KINDS = ("general", "contact", "cascade", "beam")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,109 +76,60 @@ def _build(ctor, where: str, *args, **kwargs):
         raise SchemaError(str(exc), field=where) from exc
 
 
-def _payload_to_problem(kind: str, payload, where: str = "payload"):
-    if kind == "general":
-        _reject_unknown(payload, {"M", "q"}, where)
-        return _build(
-            LcpProblem, where, _require(payload, "M", where), _require(payload, "q", where)
-        )
-    if kind == "contact":
-        _reject_unknown(payload, {"K", "q_tilde", "y_star"}, where)
-        return _build(
-            ContactLcp,
-            where,
-            _require(payload, "K", where),
-            _require(payload, "q_tilde", where),
-            _require(payload, "y_star", where),
-        )
-    if kind == "cascade":
-        _reject_unknown(payload, {"blocks"}, where)
-        blocks = []
-        for i, raw in enumerate(_array(payload, "blocks", where)):
-            bwhere = f"{where}.blocks[{i}]"
-            _reject_unknown(raw, {"K", "q1", "q2", "couplings"}, bwhere)
-            couplings = []
-            for k, cp in enumerate(_array(raw, "couplings", bwhere, required=False)):
-                cwhere = f"{bwhere}.couplings[{k}]"
-                _reject_unknown(cp, {"j", "Ktilde"}, cwhere)
-                if type(j := _require(cp, "j", cwhere)) is not int:
-                    raise SchemaError(f"j must be an integer, got {j!r}", field=cwhere)
-                couplings.append((j, _require(cp, "Ktilde", cwhere)))
-            blocks.append(
-                _build(
-                    CascadeBlock,
-                    bwhere,
-                    _require(raw, "K", bwhere),
-                    _require(raw, "q1", bwhere),
-                    _require(raw, "q2", bwhere),
-                    tuple(couplings),
-                )
-            )
-        return _build(CascadeProblem, where, tuple(blocks))
-    if kind == "beam":
-        _reject_unknown(payload, {"length", "ei", "stabilizers", "loads"}, where)
-        stabilizers = []
-        for i, raw in enumerate(_array(payload, "stabilizers", where, required=False)):
-            swhere = f"{where}.stabilizers[{i}]"
-            _reject_unknown(raw, {"position", "gap"}, swhere)
-            stabilizers.append(
-                Stabilizer(_require(raw, "position", swhere), _require(raw, "gap", swhere))
-            )
-        loads = []
-        for i, raw in enumerate(_array(payload, "loads", where, required=False)):
-            lwhere = f"{where}.loads[{i}]"
-            _reject_unknown(raw, {"position", "magnitude"}, lwhere)
-            loads.append(
-                PointLoad(
-                    _require(raw, "position", lwhere), _require(raw, "magnitude", lwhere)
-                )
-            )
-        return _build(
-            BeamConfig,
-            where,
-            _require(payload, "length", where),
-            _require(payload, "ei", where),
-            tuple(stabilizers),
-            tuple(loads),
-        )
-    raise SchemaError(f"kind must be one of {list(KINDS)}, got {kind!r}", field="kind")
+def _coupling(j, Ktilde) -> tuple:
+    """A coupling record; CascadeBlock would round j with int(), so the file takes only ints."""
+    if type(j) is not int:
+        raise TypeError(f"j must be an integer, got {j!r}")
+    return j, Ktilde
 
 
-def _problem_to_payload(kind: str, problem) -> dict:
-    if kind == "general":
-        return {"M": problem.M.tolist(), "q": problem.q.tolist()}
-    if kind == "contact":
-        return {
-            "K": problem.K.tolist(),
-            "q_tilde": problem.q_tilde.tolist(),
-            "y_star": problem.y_star.tolist(),
-        }
-    if kind == "cascade":
-        return {
-            "blocks": [
-                {
-                    "K": blk.K.tolist(),
-                    "q1": blk.q1.tolist(),
-                    "q2": blk.q2.tolist(),
-                    "couplings": [
-                        {"j": j, "Ktilde": ktilde.tolist()} for j, ktilde in blk.couplings
-                    ],
-                }
-                for blk in problem.blocks
-            ]
-        }
-    if kind == "beam":
-        return {
-            "length": problem.length,
-            "ei": problem.ei,
-            "stabilizers": [
-                {"position": s.position, "gap": s.gap} for s in problem.stabilizers
-            ],
-            "loads": [
-                {"position": p.position, "magnitude": p.magnitude} for p in problem.loads
-            ],
-        }
-    raise SchemaError(f"kind must be one of {list(KINDS)}, got {kind!r}", field="kind")
+_BLOCK = (CascadeBlock, ("K", "q1", "q2", ("couplings", (_coupling, ("j", "Ktilde")), False)))
+_STABILIZER = (Stabilizer, ("position", "gap"))
+_LOAD = (PointLoad, ("position", "magnitude"))
+
+#: Each kind's constructor and its fields in file order.  A field is a name,
+#: or (name, schema, required) for an array of records built by that schema.
+_SCHEMAS = {
+    "general": (LcpProblem, ("M", "q")),
+    "contact": (ContactLcp, ("K", "q_tilde", "y_star")),
+    "cascade": (CascadeProblem, (("blocks", _BLOCK, True),)),
+    "beam": (
+        BeamConfig, ("length", "ei", ("stabilizers", _STABILIZER, False), ("loads", _LOAD, False))
+    ),
+}
+
+KINDS = tuple(_SCHEMAS)
+
+
+def _name(f) -> str:
+    return f if isinstance(f, str) else f[0]
+
+
+def _parse(schema, raw, where: str):
+    """Check raw against schema, field by field in file order, and build its object."""
+    ctor, fields = schema
+    _reject_unknown(raw, {_name(f) for f in fields}, where)
+    args = []
+    for f in fields:
+        if isinstance(f, str):
+            args.append(_require(raw, f, where))
+        else:
+            name, sub, required = f
+            items = enumerate(_array(raw, name, where, required))
+            args.append(tuple(_parse(sub, item, f"{where}.{name}[{i}]") for i, item in items))
+    return _build(ctor, where, *args)
+
+
+def _write(schema, obj) -> dict:
+    """The payload of obj: tuples (couplings) are read by position, other records by attribute."""
+    out = {}
+    for i, f in enumerate(schema[1]):
+        value = obj[i] if isinstance(obj, tuple) else getattr(obj, _name(f))
+        if isinstance(f, str):
+            out[f] = value.tolist() if isinstance(value, np.ndarray) else value
+        else:
+            out[f[0]] = [_write(f[1], item) for item in value]
+    return out
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -195,11 +147,11 @@ def parse_problem(text: str) -> ProblemFile:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError("metadata must be an object", field="metadata")
-    return ProblemFile(kind, _payload_to_problem(kind, payload), dict(metadata))
+    return ProblemFile(kind, _parse(_SCHEMAS[kind], payload, "payload"), dict(metadata))
 
 
 def serialize_problem(pf: ProblemFile) -> str:
-    doc = {"kind": pf.kind, "payload": _problem_to_payload(pf.kind, pf.problem)}
+    doc = {"kind": pf.kind, "payload": _write(_SCHEMAS[pf.kind], pf.problem)}
     if pf.metadata:
         doc["metadata"] = pf.metadata
     return json.dumps(doc, indent=2) + "\n"

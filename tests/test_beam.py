@@ -203,6 +203,25 @@ def test_generated_beams_are_well_posed_and_unique(rng):
         assert np.max(np.abs(z - res.z)) <= 1e-7
 
 
+def _closed_form(x, a, length, ei):
+    """The influence formula in Python float arithmetic, with x <= a."""
+    if x > a:
+        x, a = a, x
+    b = length - a
+    return b * x * (length * length - b * b - x * x) / (6.0 * length * ei)
+
+
+def test_influence_is_the_closed_form_bit_for_bit(rng):
+    cases = [(5.0, 5.0, 10.0, 1.0), (3.0, 7.0, 10.0, 1.0), (7.0, 3.0, 10.0, 1.0)]
+    for _ in range(2000):
+        length, ei = 10.0 ** rng.uniform(-3.0, 6.0), 10.0 ** rng.uniform(-3.0, 12.0)
+        cases.append((*rng.uniform(0.0, length, 2).tolist(), float(length), float(ei)))
+    for x, a, length, ei in cases:
+        if 0.0 < x < length and 0.0 < a < length:
+            got = influence(x, a, length, ei)
+            assert type(got) is float and got == _closed_form(x, a, length, ei), (x, a, length, ei)
+
+
 def test_tables_match_the_scalar_influence(rng):
     for _ in range(50):
         cfg = gen_beam(int(rng.integers(1, 30)), rng)

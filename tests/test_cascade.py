@@ -105,6 +105,15 @@ def test_gap_sum_identity_is_exact_per_stage(rng):
             assert np.array_equal(residual, np.zeros(blk.q1.shape[0]))
 
 
+def test_stage_gaps_sum_exactly_to_the_block_gap_sum():
+    # gamma_u is formed as 2 y* - gamma_l; the stage's y* must be half the
+    # block's q1 + q2 itself, not half of q_hat1 + q_hat2, which can round.
+    for seed in range(300):
+        p = gen_cascade(4, 5, np.random.default_rng(seed))
+        for i, (blk, sol) in enumerate(zip(p.blocks, solve_cascade(p))):
+            assert np.array_equal((blk.q1 + blk.q2) - sol.gamma_l, sol.gamma_u), (seed, i)
+
+
 def test_random_chains_match_pivot_solver(rng):
     for _ in range(100):
         t = int(rng.integers(1, 4))
@@ -131,8 +140,8 @@ def test_single_block_chain_reduces_to_contact_solve(rng):
     )
     chained = solve_cascade(p)[0]
     direct = solve_structured(c)
-    # The stage rebuilds q_tilde from the half-difference of its effective
-    # vectors, so agreement is to rounding rather than bitwise.
+    # The stage rebuilds q_tilde as q_hat1 - y* with y* = (q1 + q2) / 2, so
+    # agreement is to rounding rather than bitwise.
     assert np.max(np.abs(chained.d - direct.d)) <= 1e-12 * (1.0 + np.max(np.abs(direct.d)))
 
 

@@ -5,9 +5,13 @@ from __future__ import annotations
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 import weakref
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +149,37 @@ def test_solve_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{broken")
     assert main(["solve", "--input", str(path)]) == 1
+
+
+def _write_error_commands(tmp_path, contact_file):
+    target = str(tmp_path / "missing" / "out.json")
+    return (
+        ["solve", "--input", str(contact_file), "--output", target],
+        ["gen", "--kind", "beam", "--output", target],
+    )
+
+
+def test_a_failed_write_to_output_exits_one_with_one_error_line(tmp_path, contact_file, capsys):
+    for argv in _write_error_commands(tmp_path, contact_file):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
+def test_a_failed_write_to_output_prints_no_traceback_from_the_module(tmp_path, contact_file):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in _write_error_commands(tmp_path, contact_file):
+        proc = subprocess.run(
+            [sys.executable, "-m", "beamlcp.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stdout == ""
 
 
 def _beam(stabilizers, loads=()):
