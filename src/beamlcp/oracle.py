@@ -12,18 +12,18 @@ masks.  Integer operations on a chunk flag the supports that the pair rule
 below settles, and the rest go on in blocks of ``BLOCK_SIZE`` masks, all
 full but the last of each chunk.
 Within a block the supports of each size are gathered into stacked arrays
-and go through one stacked SVD (the singularity test), one stacked solve
-(the nonsingular supports) and one stacked SVD of the singular ones (the
-consistency test).  The stacked calls run the same LAPACK routine per
-matrix as a per-support loop, so the singular/nonsingular split and the
-solved points are bit-identical to that loop; the consistency test forms
-``lstsq``'s minimum-norm solution from the SVD.  A vectorized screen then
-drops every point that :func:`validate` would certainly reject.  Only the
-survivors and the family points are validated and deduplicated,
-one by one in ascending mask order.  Singular supports are kept as two
-arrays, their bitmasks in ascending order and a consistency flag each, with
-no object per support; ``EnumerationResult.singular_supports`` builds
-:class:`SingularSupport` records from them only when it is read.
+for the singularity test (a stacked inverse whose norm clears most of them,
+and a stacked SVD of the rest), one stacked solve (the nonsingular supports)
+and one stacked SVD of the singular ones (the consistency test).  The split
+is the SVD's, and each stacked call runs the LAPACK routine of a per-support
+loop, so the split and the solved points are bit-identical to that loop; the
+consistency test forms ``lstsq``'s minimum-norm solution from the SVD.  A
+vectorized screen then drops every point that :func:`validate` would
+certainly reject.  Only the survivors and the family points are validated
+and deduplicated, one by one in ascending mask order.  Singular supports are
+kept as two arrays, their bitmasks in ascending order and a consistency flag
+each, with no object per support; ``EnumerationResult.singular_supports``
+builds :class:`SingularSupport` records from them only when it is read.
 
 One exact rule settles many supports without LAPACK.  When rows ``i`` and
 ``j`` of ``M`` are exact negatives, every support holding both is exactly
@@ -136,8 +136,24 @@ class CertifyResult:
 
 
 def _smallest_singular_values(stack: np.ndarray) -> np.ndarray:
-    """Smallest singular value of each matrix in a (B, k, k) stack."""
+    """Smallest singular value of each matrix in a (B, k, k) stack; see :func:`_singular`."""
     return np.linalg.svd(stack, compute_uv=False)[:, -1]
+
+
+def _singular(stack: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a (B, k, k) stack has ``sigma_min <= cut``, as its SVD decides.
+
+    ``2 sqrt(k) ||inv||_inf cut < 1`` proves ``sigma_min > 2 cut``, far beyond rounding.
+    """
+    try:
+        inv_norm = np.abs(np.linalg.inv(stack)).sum(axis=2).max(axis=1)
+    except np.linalg.LinAlgError:  # an exactly zero LU pivot: the SVD decides all
+        return _smallest_singular_values(stack) <= cut
+    with np.errstate(over="ignore"):  # an overflow gives inf, which goes to the SVD
+        singular = ~(inv_norm * (2.0 * np.sqrt(stack.shape[-1])) * cut < 1.0)
+    if singular.any():  # so far, the matrices the bound did not clear
+        singular[singular] = _smallest_singular_values(stack[singular]) <= cut[singular]
+    return singular
 
 
 def _lstsq_consistent(stack: np.ndarray, q_s: np.ndarray) -> np.ndarray:
@@ -285,7 +301,7 @@ def _block_outcomes(
     screened solution of each nonsingular support and the family points of
     each consistent singular one.  ``masks`` are ascending and nonzero, and
     none holds a pair of :func:`_negated_pairs`; the supports of one size
-    share one stacked SVD, solve and screen.
+    share one singularity test, solve and screen.
     """
     n = problem.n
     bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
@@ -298,8 +314,7 @@ def _block_outcomes(
         idx = np.nonzero(bits[rows])[1].reshape(-1, k)
         mss = problem.M[idx[:, :, None], idx[:, None, :]]
         q_s = problem.q[idx]
-        scale = np.abs(mss).sum(axis=2).max(axis=1)
-        sing = _smallest_singular_values(mss) <= SINGULARITY_RTOL * scale
+        sing = _singular(mss, SINGULARITY_RTOL * np.abs(mss).sum(axis=2).max(axis=1))
         singular[rows[sing]] = True
 
         ns = np.flatnonzero(~sing)

@@ -19,6 +19,7 @@ blocked, stacked enumeration replaced.  The two must agree bit for bit.
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -138,12 +139,13 @@ def test_svd_and_lu_classify_every_support_alike(problem):
         cut = oracle.SINGULARITY_RTOL * float(np.abs(mss).sum(axis=1).max())
         by_svd = oracle._smallest_singular_values(mss[None])[0] <= cut
         by_lu = lu_smallest_pivot(mss) <= cut
-        assert by_svd == by_lu, s
+        by_inverse = oracle._singular(mss[None], np.array([cut]))[0]
+        assert by_svd == by_lu == by_inverse, s
 
 
 def test_enumeration_matches_the_scipy_reference(problem, monkeypatch):
     new = certify_unique(problem, tol=_tolerance(None, problem))
-    monkeypatch.setattr(oracle, "_smallest_singular_values", lu_smallest_pivots)
+    monkeypatch.setattr(oracle, "_singular", lambda stack, cut: lu_smallest_pivots(stack) <= cut)
     ref = certify_unique(problem, tol=_tolerance(None, problem))
 
     assert new.verdict is ref.verdict
@@ -157,6 +159,69 @@ def test_enumeration_matches_the_scipy_reference(problem, monkeypatch):
             if np.abs(s.z - sol.z).max() <= tol
         ]
         assert matches == [count], sol.z
+
+
+def with_smallest_singular_value(ratio: float, k: int, symmetric: bool, rng) -> np.ndarray:
+    """A k x k matrix whose smallest singular value is about ``ratio`` times its cut."""
+    u, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    v = u if symmetric else np.linalg.qr(rng.standard_normal((k, k)))[0]
+    s = np.geomspace(2.0, 0.5, k)
+    if k == 1:  # a 1 x 1 matrix is its own singular value, 1e10 times its cut
+        return (u @ np.diag(s) @ v.T) * ratio
+    s[-1] = 0.0
+    s[-1] = ratio * oracle.SINGULARITY_RTOL * float(np.abs(u @ np.diag(s) @ v.T).sum(axis=1).max())
+    return u @ np.diag(s) @ v.T
+
+
+RATIOS = [0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 4.0, 100.0, 1e8]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_the_inverse_bound_makes_the_svd_decision(k, monkeypatch):
+    """``_singular`` equals the SVD's decision on every matrix of mixed stacks.
+
+    Each stack holds non-symmetric matrices at the ratios of ``sigma_min`` to the
+    cut in ``RATIOS``, two symmetric ones just below and above the cut, and one
+    with a zero row (an exactly zero LU pivot), at scales from 2^-600 to 2^600:
+    there the squares of the inverse's entries under- or overflow.  The SVD sees
+    every matrix of a stack with a zero pivot, and otherwise at most the nine
+    below 100 times the cut: the inverse clears every matrix above ``2 k`` times it.
+    """
+    seen = []
+    svd = oracle._smallest_singular_values
+
+    def recorded(stack):
+        seen.append(stack.shape[0])
+        return svd(stack)
+
+    monkeypatch.setattr(oracle, "_smallest_singular_values", recorded)
+    rng = np.random.default_rng(k)
+    base = [with_smallest_singular_value(r, k, False, rng) for r in RATIOS]
+    base += [with_smallest_singular_value(r, k, True, rng) for r in (0.99, 1.01)]
+    for singular_one in (False, True):
+        stack = np.array(base + [np.vstack([np.zeros(k), base[0][1:]])] * singular_one)
+        for e in (-600, -40, 0, 40, 600):
+            scaled = stack * 2.0**e
+            cut = oracle.SINGULARITY_RTOL * np.abs(scaled).sum(axis=2).max(axis=1)
+            want = svd(scaled) <= cut
+            seen.clear()
+            assert oracle._singular(scaled, cut).tolist() == want.tolist(), e
+            if singular_one:
+                assert want[-1] and seen == [len(stack)]
+            else:
+                assert sum(seen) <= len(RATIOS)
+            if k > 1:
+                assert want[:len(RATIOS)].tolist() == [r < 1.0 for r in RATIOS]
+                assert want[len(RATIOS):len(RATIOS) + 2].tolist() == [True, False]
+
+
+def test_an_overflowing_bound_goes_to_the_svd_without_a_warning():
+    """``||inv||_inf`` is finite (1e300), but its product with the cut (1e10) overflows."""
+    stack = np.diag([1e20, 1e-300])[None]
+    cut = oracle.SINGULARITY_RTOL * np.abs(stack).sum(axis=2).max(axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert oracle._singular(stack, cut).tolist() == [True]
 
 
 def sliver(s_min: float) -> np.ndarray:
@@ -350,9 +415,14 @@ def test_listing_memory_does_not_grow_with_the_singular_supports():
 
 
 def counting_stacks(monkeypatch) -> dict:
-    """Count the supports that reach the stacked singularity and consistency tests."""
-    rows = {"svd": 0, "lstsq": 0}
-    svd, lstsq = oracle._smallest_singular_values, oracle._lstsq_consistent
+    """Count the supports that reach the singularity test, its SVD and the consistency test."""
+    rows = {"singular": 0, "svd": 0, "lstsq": 0}
+    singular, svd = oracle._singular, oracle._smallest_singular_values
+    lstsq = oracle._lstsq_consistent
+
+    def counted_singular(stack, cut):
+        rows["singular"] += stack.shape[0]
+        return singular(stack, cut)
 
     def counted_svd(stack):
         rows["svd"] += stack.shape[0]
@@ -362,25 +432,33 @@ def counting_stacks(monkeypatch) -> dict:
         rows["lstsq"] += stack.shape[0]
         return lstsq(stack, q_s)
 
+    monkeypatch.setattr(oracle, "_singular", counted_singular)
     monkeypatch.setattr(oracle, "_smallest_singular_values", counted_svd)
     monkeypatch.setattr(oracle, "_lstsq_consistent", counted_lstsq)
     return rows
 
 
-def test_paired_supports_skip_the_stacked_tests(monkeypatch):
+def test_paired_supports_skip_the_stacked_tests(monkeypatch, degenerate_2d):
     rows = counting_stacks(monkeypatch)
     contact = assemble(gen_contact(6, np.random.default_rng(6)))
     result = enumerate_solutions(contact, tol=_tolerance(None, contact), cap=12)
-    # Only the sign patterns of d reach the SVD, and all of them are nonsingular.
-    assert rows == {"svd": 3**6 - 1, "lstsq": 0}
+    # Only the sign patterns of d reach the singularity test; the inverse clears them all.
+    assert rows == {"singular": 3**6 - 1, "svd": 0, "lstsq": 0}
     assert len(result.singular_supports) == 4**6 - 3**6
     assert not any(s.consistent for s in result.singular_supports)
 
-    rows.update(svd=0, lstsq=0)
+    rows.update(singular=0, svd=0, lstsq=0)
     general = gen_general(8, np.random.default_rng(8))
     assert len(oracle._negated_pairs(general)[0]) == 0
     enumerate_solutions(general, tol=_tolerance(None, general), cap=8)
-    assert rows["svd"] == 2**8 - 1
+    assert rows["singular"] == 2**8 - 1
+
+    # The full support of the singular PSD fixture has an exactly zero LU pivot.
+    rows.update(singular=0, svd=0, lstsq=0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(degenerate_2d.M)
+    enumerate_solutions(degenerate_2d, tol=_tolerance(None, degenerate_2d), cap=2)
+    assert rows == {"singular": 3, "svd": 1, "lstsq": 1}
 
 
 def test_only_unpaired_supports_reach_the_blocks_and_fill_them(monkeypatch):
@@ -455,8 +533,9 @@ def test_a_negated_pair_beyond_the_threshold_is_singular_and_inconsistent(
         q_s[b, j] = -q_s[b, i] + sign * excess * pair_threshold(rest)
         assert abs(q_s[b, i] + q_s[b, j]) > pair_threshold(q_s[b])
 
-    scale = np.abs(stack).sum(axis=2).max(axis=1)
-    assert (oracle._smallest_singular_values(stack) <= oracle.SINGULARITY_RTOL * scale).all()
+    cut = oracle.SINGULARITY_RTOL * np.abs(stack).sum(axis=2).max(axis=1)
+    assert (oracle._smallest_singular_values(stack) <= cut).all()
+    assert oracle._singular(stack, cut).all()
     assert not oracle._lstsq_consistent(stack, q_s).any()
 
 
