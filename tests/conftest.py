@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from beamlcp import CascadeBlock, CascadeProblem, ContactLcp, LcpProblem
+from beamlcp import BeamConfig, CascadeBlock, CascadeProblem, ContactLcp, LcpProblem
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -90,3 +90,20 @@ def _exact_solution(m, q, z) -> list[Fraction]:
 def exact_solution():
     """Check a float ``z`` as an exact solution of ``(M, q)`` (nested lists of floats)."""
     return _exact_solution
+
+
+def _paper_beam(n: int, ei: float) -> BeamConfig:
+    """n evenly spaced stabilizers with gap 0.05 and loads at the quarter spans.
+
+    The loads are scaled by ei, so every ei describes the same deflections.
+    """
+    length = 10.0
+    stabilizers = [(length * (i + 1) / (n + 1), 0.05) for i in range(n)]
+    loads = [(0.25 * length, 4.0 * ei), (0.5 * length, -4.0 * ei), (0.75 * length, 4.0 * ei)]
+    return BeamConfig(length, ei, stabilizers, loads)
+
+
+@pytest.fixture
+def paper_beam():
+    """The paper's beam: ``paper_beam(n, ei)`` builds its ``BeamConfig``."""
+    return _paper_beam

@@ -657,6 +657,32 @@ def test_solve_and_verify_exit_zero_on_ill_conditioned_beams(tmp_path, doc, solv
     assert _solve_then_verify(tmp_path, doc, *solver) == (0, 0)
 
 
+def test_explicit_lemke_reports_its_ray_on_ray6(tmp_path, capsys):
+    path = write_raw(tmp_path, "ray6.json", RAY6)
+    assert main(["solve", "--input", str(path), "--solver", "lemke"]) == 3
+    assert capsys.readouterr().err == "error: entering variable z_3 generated a ray\n"
+
+
+#: M = diag(1e20, 1e-300), q = (-1, -1): the one solution is (1e-20, 1e300).
+HUGE_Z = {"kind": "general", "payload": {"M": [[1e20, 0.0], [0.0, 1e-300]], "q": [-1.0, -1.0]}}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="lcp.w_rounding's max_row_sum * max|z| overflows to inf, so validate accepts "
+    "(0, 1e300) with w_0 = -1; a per-row bound rejects it but makes the verdict none, "
+    "since the true solution lies on a support the oracle calls singular (ROADMAP items 1 and 5)",
+)
+def test_enumerate_lists_no_point_with_a_negative_w(tmp_path, capsys):
+    path = write_raw(tmp_path, "huge-z.json", HUGE_Z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["enumerate", "--input", str(path)])
+    out = capsys.readouterr().out.splitlines()
+    listed = [json.loads(line.split(": ", 1)[1]) for line in out if line.startswith("solution")]
+    assert code != 0 or all(z[0] > 0.0 for z in listed), out
+
+
 @st.composite
 def beam_files(draw):
     """A beam file: n in 3-59, length 10^U(-3,3), ei 10^U(-6,8), clearances 10^U(-6,0) length/100.
