@@ -132,6 +132,7 @@ def s_load_beam(n: int, ei: float) -> BeamConfig:
 
 
 def pinned_problem(spec, paper_beam) -> LcpProblem:
+    """The LCP of ``(kind, n, ei or seed)``."""
     kind, n, arg = spec
     if kind == "s-load":
         return assemble(to_contact_lcp(s_load_beam(n, arg)))
@@ -168,7 +169,9 @@ PINNED_RUNS = [
 
 
 @pytest.mark.parametrize(
-    ("spec", "pivots", "digest"), PINNED_RUNS, ids=["-".join(map(str, run[0])) for run in PINNED_RUNS]
+    ("spec", "pivots", "digest"),
+    PINNED_RUNS,
+    ids=["-".join(map(str, run[0])) for run in PINNED_RUNS],
 )
 def test_pivots_and_z_are_pinned_bit_for_bit(paper_beam, spec, pivots, digest):
     sol = lemke_solve(pinned_problem(spec, paper_beam))
@@ -178,5 +181,6 @@ def test_pivots_and_z_are_pinned_bit_for_bit(paper_beam, spec, pivots, digest):
 
 def test_only_sub_tolerance_positive_entries_are_a_breakdown():
     p = LcpProblem(np.diag([1e20, 1e-300]), np.array([-1.0, -1.0]))
-    with pytest.raises(NumericalBreakdown, match="entering column has only sub-tolerance positive entries"):
+    message = "entering column has only sub-tolerance positive entries"
+    with pytest.raises(NumericalBreakdown, match=message):
         lemke_solve(p)
