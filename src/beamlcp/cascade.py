@@ -39,8 +39,9 @@ class CascadeBlock:
 
     couplings is a sequence of (j, Ktilde) pairs, j the 0-based position of an
     earlier block and Ktilde of shape (n_i, n_j).  K must be symmetric positive
-    definite and the gap sum q1 + q2 strictly positive (it equals twice the
-    wall clearance); both are enforced at construction.
+    definite and the wall clearance (q1 + q2) / 2, as the block's stage
+    computes it, finite and strictly positive; both are enforced at
+    construction.
     """
 
     K: np.ndarray
@@ -61,8 +62,10 @@ class CascadeBlock:
                 f"{self.q1.shape[0]}/{self.q2.shape[0]}"
             )
         spd_factor(self.K)
-        if np.any(self.q1 + self.q2 <= 0.0):
-            raise InvariantViolation("block gap sum q1 + q2 must be strictly positive")
+        with np.errstate(over="ignore"):  # an inf clearance is rejected just below
+            clearance = 0.5 * (self.q1 + self.q2)
+        if not np.all((clearance > 0.0) & (clearance < np.inf)):
+            raise InvariantViolation("block clearance (q1 + q2) / 2 must be finite and above 0")
         normalized = []
         seen = set()
         for j, ktilde in self.couplings:

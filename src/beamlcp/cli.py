@@ -15,11 +15,11 @@ additionally requests a uniqueness certificate from the enumeration oracle.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import time
 
-import click
 import numpy as np
 
 from . import fileio
@@ -49,36 +49,6 @@ _SOLVER_FAILURES = (RayTermination, PivotLimitExceeded, NumericalBreakdown, MaxI
 
 #: Each kind's solver when --solver is left out; only lemke may replace it.
 _OWN_SOLVER = {"general": "lemke", "contact": "pgs", "beam": "pgs", "cascade": "cascade"}
-
-
-def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
-    """``--help``: click's own callback, but writing to the current ``sys.stdout``."""
-    if value and not ctx.resilient_parsing:
-        click.echo(ctx.get_help(), color=ctx.color, file=sys.stdout)
-        ctx.exit()
-
-
-class _StdoutHelp:
-    """Give the help option :func:`_show_help` as its callback (see :func:`_print`)."""
-
-    def get_help_option(self, ctx: click.Context) -> click.Option | None:
-        option = super().get_help_option(ctx)
-        if option is not None:
-            option.callback = _show_help
-        return option
-
-
-class _Command(_StdoutHelp, click.Command):
-    pass
-
-
-class _Group(_StdoutHelp, click.Group):
-    command_class = _Command
-
-
-@click.group(cls=_Group)
-def cli():
-    """Two-sided contact LCP toolkit."""
 
 
 def _structure(pf: fileio.ProblemFile):
@@ -116,16 +86,26 @@ def _tolerance(tol: float | None, lcp) -> float:
     return tol if tol is not None else 1e-8 * float(np.abs(lcp.q).max())
 
 
-def _check_tol(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
-    """Reject a --tol that no comparison can use: NaN, infinite, zero or negative."""
-    if value is not None and not 0.0 < value < float("inf"):
-        raise click.BadParameter("must be a finite number above 0")
+def _tol(text: str) -> float:
+    """Read --tol, rejecting what no comparison can use: NaN, infinite, zero or negative."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError("must be a finite number above 0")
     return value
 
 
-_TOL_OPTION = click.option(
-    "--tol", type=float, callback=_check_tol, help="Tolerance [default: 1e-8 * max|q|]."
-)
+def _at_least(low: int):
+    """An argparse type: an integer of at least low."""
+
+    def integer(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        return value
+
+    return integer
 
 
 def _halves(v: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -152,50 +132,27 @@ def _contact_section(z: np.ndarray, w: np.ndarray, sizes: list[int]) -> dict:
     }
 
 
-def _print(lines: list[str]) -> None:
-    """Write lines to the current ``sys.stdout`` in one call.
-
-    Every ``click.echo`` here names its stream: without ``file=``, click
-    caches the stream it finds in ``sys.stdout`` with a strong reference to
-    itself, so a buffer an in-process caller swapped in would never be freed.
-    """
-    click.echo("\n".join(lines), file=sys.stdout)
-
-
 def _emit(text: str, path: str | None) -> None:
     """Write text to the file at path, or to the current ``sys.stdout`` without one."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False, file=sys.stdout)
+        sys.stdout.write(text)
 
 
 def _fail(exc: Exception, code: int) -> int:
-    click.echo(f"error: {exc}", file=sys.stderr)
+    print(f"error: {exc}", file=sys.stderr)
     return code
 
 
-@cli.command("solve")
-@click.option("--input", "input_path", required=True, help="Problem file (JSON).")
-@click.option("--output", "output_path", default=None, help="Where to write the report.")
-@click.option(
-    "--solver",
-    type=click.Choice(["lemke", "pgs", "cascade"]),
-    help=f"[default: {', '.join(f'{s} for {k}' for k, s in _OWN_SOLVER.items())}]; "
-    "lemke takes any kind.",
-)
-@_TOL_OPTION
-@click.option(
-    "--cap", type=int, default=None, help="Request a uniqueness certificate (enumeration cap)."
-)
 def cmd_solve(input_path, output_path, solver, tol, cap) -> int:
     """Solve a problem file and write a report."""
     pf = fileio.load_problem(input_path)
     problem, lcp, sizes, _ = _structure(pf)
     solver = solver or _OWN_SOLVER[pf.kind]
     if solver not in ("lemke", _OWN_SOLVER[pf.kind]):
-        raise click.UsageError(f"--solver {solver} does not take a {pf.kind} problem")
+        raise LcpError(f"--solver {solver} does not take a {pf.kind} problem")
 
     start = time.perf_counter()
     if solver == "lemke":
@@ -230,15 +187,6 @@ def cmd_solve(input_path, output_path, solver, tol, cap) -> int:
     return EXIT_SOLVED if report.solved else EXIT_INVALID
 
 
-@cli.command("verify")
-@click.option("--input", "input_path", required=True, help="Problem file (JSON).")
-@click.option(
-    "--output",
-    "solution_path",
-    required=True,
-    help="Solution/report file to check (as written by solve).",
-)
-@_TOL_OPTION
 def cmd_verify(input_path, solution_path, tol) -> int:
     """Re-validate a stored solution against its problem."""
     _, lcp, sizes, gap_sums = _structure(fileio.load_problem(input_path))
@@ -271,14 +219,10 @@ def cmd_verify(input_path, solution_path, tol) -> int:
         lines.append(f"max F_l*F_u: {force_prod:.6e}")
         lines.append(f"gap-sum residual: {gap_residual:.6e}")
 
-    _print(lines)
+    print("\n".join(lines))
     return EXIT_SOLVED if report.solved else EXIT_INVALID
 
 
-@cli.command("enumerate")
-@click.option("--input", "input_path", required=True, help="Problem file (JSON).")
-@_TOL_OPTION
-@click.option("--cap", type=int, default=14, show_default=True)
 def cmd_enumerate(input_path, tol, cap) -> int:
     """List the isolated solutions and up to two points per family; classify uniqueness."""
     _, lcp, _, _ = _structure(fileio.load_problem(input_path))
@@ -295,7 +239,7 @@ def cmd_enumerate(input_path, tol, cap) -> int:
     ]
     lines.append(f"singular supports: {masks.size} ({int(consistent.sum())} consistent)")
     lines.append(f"verdict: {cert.verdict.value}")
-    _print(lines)
+    print("\n".join(lines))
     return {
         Verdict.UNIQUE: EXIT_SOLVED,
         Verdict.MULTIPLE: EXIT_MULTIPLE,
@@ -303,18 +247,6 @@ def cmd_enumerate(input_path, tol, cap) -> int:
     }[cert.verdict]
 
 
-@cli.command("gen")
-@click.option("--kind", type=click.Choice(list(fileio.KINDS)), required=True)
-@click.option("--n", type=click.IntRange(min=1), default=4, show_default=True)
-@click.option(
-    "--t",
-    type=click.IntRange(min=1),
-    default=3,
-    show_default=True,
-    help="Block count (cascade only).",
-)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--output", "output_path", default=None, help="Write here instead of stdout.")
 def cmd_gen(kind, n, t, seed, output_path) -> int:
     """Generate a deterministic pseudo-random problem file."""
     problem = gen_problem(kind, n, t, seed)
@@ -325,25 +257,84 @@ def cmd_gen(kind, n, t, seed, output_path) -> int:
     return EXIT_SOLVED
 
 
+def _strict(make, *args, **kwargs) -> argparse.ArgumentParser:
+    """A parser that takes no abbreviated option and no ``-h``, only ``--help``."""
+    parser = make(*args, allow_abbrev=False, add_help=False, **kwargs)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _strict(
+        argparse.ArgumentParser, prog="beamlcp", description="Two-sided contact LCP toolkit."
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run):
+        sub = _strict(commands.add_parser, name, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    solve = command("solve", cmd_solve)
+    verify = command("verify", cmd_verify)
+    enum = command("enumerate", cmd_enumerate)
+    for sub in (solve, verify, enum):
+        sub.add_argument(
+            "--input", dest="input_path", metavar="F", required=True, help="Problem file (JSON)."
+        )
+        sub.add_argument("--tol", type=_tol, help="Tolerance [default: 1e-8 * max|q|].")
+    solve.add_argument(
+        "--output", dest="output_path", metavar="F", help="Where to write the report."
+    )
+    solve.add_argument(
+        "--solver",
+        choices=["lemke", "pgs", "cascade"],
+        help=f"[default: {', '.join(f'{s} for {k}' for k, s in _OWN_SOLVER.items())}]; "
+        "lemke takes any kind.",
+    )
+    solve.add_argument(
+        "--cap", type=int, help="Request a uniqueness certificate (enumeration cap)."
+    )
+    verify.add_argument(
+        "--output", dest="solution_path", metavar="R", required=True, help="Report to check."
+    )
+    enum.add_argument("--cap", type=int, default=14, help="[default: %(default)s]")
+
+    gen = command("gen", cmd_gen)
+    gen.add_argument("--kind", choices=fileio.KINDS, required=True)
+    gen.add_argument("--n", type=_at_least(1), default=4, help="[default: %(default)s]")
+    gen.add_argument(
+        "--t", type=_at_least(1), default=3, help="Blocks (cascade only) [default: %(default)s]."
+    )
+    gen.add_argument("--seed", type=_at_least(0), default=0, help="[default: %(default)s]")
+    gen.add_argument(
+        "--output", dest="output_path", metavar="F", help="Write here instead of stdout."
+    )
+    return parser
+
+
+#: Built once: building it costs more than parsing a command line.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
     """Entry point returning the exit code (console script wraps it in sys.exit).
 
     The commands raise; this is the one map from errors to exit codes.
+    argparse prints its own usage error to stderr and exits 2, mapped here
+    to 1; ``--help`` prints to stdout and exits 0.
     """
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.ClickException as exc:
-        exc.show(file=sys.stderr)
-        return EXIT_USAGE
-    except click.Abort:
-        return EXIT_USAGE
+        args = vars(_PARSER.parse_args(argv))
+    except SystemExit as exc:
+        return EXIT_SOLVED if exc.code == 0 else EXIT_USAGE
+    run = args.pop("run")
+    try:
+        return run(**args)
     except _SOLVER_FAILURES as exc:
         return _fail(exc, EXIT_NONE)
     except (LcpError, OSError) as exc:
         return _fail(exc, EXIT_USAGE)
-    return rv if isinstance(rv, int) else EXIT_SOLVED
 
 
 if __name__ == "__main__":

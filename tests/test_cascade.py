@@ -25,6 +25,10 @@ from beamlcp.generate import gen_cascade, gen_contact
 def test_block_requires_positive_gap_sum():
     with pytest.raises(InvariantViolation):
         CascadeBlock(np.eye(1), np.array([1.0]), np.array([-1.0]))
+    # The stage's clearance (q1 + q2) / 2 underflows to 0, or overflows to inf.
+    for q1, q2 in ((5e-324, 0.0), (1e308, 1e308)):
+        with pytest.raises(InvariantViolation):
+            CascadeBlock(np.eye(1), np.array([q1]), np.array([q2]))
 
 
 def test_block_rejects_duplicate_coupling_targets():

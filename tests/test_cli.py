@@ -196,6 +196,16 @@ _OUT_OF_CLASS = {
         "cascade",
         "error: payload.blocks[0]: matrix is not positive definite",
     ),
+    "cascade-clearance-underflow": (
+        {"kind": "cascade", "payload": {"blocks": [{"K": [[1.0]], "q1": [5e-324], "q2": [0.0]}]}},
+        "cascade",
+        "error: payload.blocks[0]: block clearance (q1 + q2) / 2 must be finite and above 0",
+    ),
+    "cascade-clearance-overflow": (
+        {"kind": "cascade", "payload": {"blocks": [{"K": [[1.0]], "q1": [1e308], "q2": [1e308]}]}},
+        "cascade",
+        "error: payload.blocks[0]: block clearance (q1 + q2) / 2 must be finite and above 0",
+    ),
     "beam-without-stabilizers": (
         _beam([], [{"position": 5.0, "magnitude": 1.0}]),
         "pgs",
@@ -426,7 +436,7 @@ def test_tol_must_be_finite_and_positive(tmp_path, capsys, command, tol):
     assert main([*argv, "--tol", tol]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "Invalid value for '--tol'" in captured.err
+    assert "argument --tol: must be a finite number above 0" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -438,7 +448,7 @@ def test_help_releases_a_swapped_in_stdout(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
         assert main(argv) == 0
-    assert buf.getvalue().startswith("Usage: ")
+    assert buf.getvalue().startswith("usage: beamlcp")
     ref = weakref.ref(buf)
     del buf
     gc.collect()
@@ -492,8 +502,18 @@ def test_gen_rejects_a_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_no_arguments_shows_usage():
-    assert main([]) in (0, 1)
+def test_no_arguments_shows_usage(capsys):
+    assert main([]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.lower().startswith("usage: ")
+
+
+@pytest.mark.parametrize("flag", ["--inp", "-h"])
+def test_no_abbreviation_and_no_short_help(contact_file, capsys, flag):
+    # An abbreviated --input or a -h would run or show help; both are usage errors.
+    assert main(["enumerate", flag, str(contact_file)]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_solve_pgs_builds_the_beam_once(tmp_path, monkeypatch):

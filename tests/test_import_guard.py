@@ -1,9 +1,9 @@
-"""The CLI never imports SciPy, not even where the oracle meets a solution family.
+"""The CLI never imports SciPy, not even where the oracle meets a solution family, nor click.
 
 Each case starts a fresh interpreter that runs ``python -m beamlcp.cli`` once
 per command (through ``runpy``, so the module runs exactly as ``-m`` runs it)
-and records, after every command, its exit code and the ``scipy`` modules
-loaded so far.
+and records, after every command, its exit code and the ``scipy`` and
+``click`` modules loaded so far.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ for argv in json.loads(sys.argv[1]):
         runpy.run_module("beamlcp.cli", run_name="__main__")
     except SystemExit as exc:
         code = exc.code
-    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    print("guard:" + json.dumps({"argv": argv, "code": code, "scipy": loaded}))
+    loaded = {top: sorted(m for m in sys.modules if m.split(".")[0] == top)
+              for top in ("scipy", "click")}
+    print("guard:" + json.dumps({"argv": argv, "code": code, **loaded}))
 """
 
 
@@ -79,6 +80,7 @@ def test_cli_never_imports_scipy(tmp_path, kind):
     for record in run_cli(commands):
         assert record["code"] == 0, record
         assert record["scipy"] == [], record
+        assert record["click"] == [], record
 
 
 def test_singular_psd_enumeration_loads_no_scipy(tmp_path):
