@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import ContactLcp, ContactSolution, PgsOptions, solve_structured
+from .contact import ContactLcp, ContactSolution, _put_two_wall_block, solve_structured
 from .dense import as_matrix, as_vector, spd_factor
-from .errors import DimensionMismatch, InvariantViolation
+from .errors import DimensionMismatch, InvariantViolation, NumericalBreakdown
 from .lcp import LcpProblem, LcpSolution
 
 __all__ = [
@@ -125,7 +125,7 @@ class CascadeStage:
     q_hat2: np.ndarray
 
 
-def cascade_stages(p: CascadeProblem, options: PgsOptions | None = None) -> list[CascadeStage]:
+def cascade_stages(p: CascadeProblem) -> list[CascadeStage]:
     """Solve blocks in order, returning per-stage diagnostics.
 
     q_hat2 is formed as (q1 + q2) - q_hat1 rather than by shifting q2
@@ -133,51 +133,47 @@ def cascade_stages(p: CascadeProblem, options: PgsOptions | None = None) -> list
     still round away from q1 + q2, so the stage is built from the block's
     fixed clearance y* = (q1 + q2) / 2 and the offset q_hat1 - y*: its gaps
     then keep gamma_l + gamma_u = 2 y* = q1 + q2 exact in floating point.
+
+    Raises:
+        NumericalBreakdown: earlier blocks' forces shift a block's offsets
+            beyond the floating-point range.
     """
     stages: list[CascadeStage] = []
     net_forces: list[np.ndarray] = []
-    for blk in p.blocks:
-        shift = np.zeros(blk.n)
-        for j, ktilde in blk.couplings:
-            shift += ktilde @ net_forces[j]
+    for i, blk in enumerate(p.blocks):
         gap_sum = blk.q1 + blk.q2
         y_star = 0.5 * gap_sum
-        q_hat1 = blk.q1 + shift
-        q_hat2 = gap_sum - q_hat1
-        contact = ContactLcp(blk.K, q_hat1 - y_star, y_star)
-        sol = solve_structured(contact, options)
+        shift = np.zeros(blk.n)
+        with np.errstate(over="ignore", invalid="ignore"):  # ContactLcp rejects non-finite offsets
+            for j, ktilde in blk.couplings:
+                shift += ktilde @ net_forces[j]
+            q_hat1 = blk.q1 + shift
+            q_hat2 = gap_sum - q_hat1
+            q_tilde = q_hat1 - y_star
+        try:
+            contact = ContactLcp(blk.K, q_tilde, y_star)
+        except (ValueError, InvariantViolation) as exc:
+            raise NumericalBreakdown(f"block {i}: the coupling shift overflows: {exc}") from exc
+        sol = solve_structured(contact)
         net_forces.append(sol.d)
         stages.append(CascadeStage(contact, sol, q_hat1, q_hat2))
     return stages
 
 
-def solve_cascade(p: CascadeProblem, options: PgsOptions | None = None) -> list[ContactSolution]:
+def solve_cascade(p: CascadeProblem) -> list[ContactSolution]:
     """Solve every block in order; returns one ContactSolution per block."""
-    return [stage.solution for stage in cascade_stages(p, options)]
+    return [stage.solution for stage in cascade_stages(p)]
 
 
 def assemble_full(p: CascadeProblem) -> LcpProblem:
     """Assemble the full (non-symmetric) block lower-triangular LCP."""
-    sizes = [blk.n for blk in p.blocks]
-    offsets = np.concatenate([[0], np.cumsum([2 * n for n in sizes])])
-    dim = int(offsets[-1])
-    M = np.zeros((dim, dim))
-    q = np.zeros(dim)
-
-    def place(row0: int, col0: int, k: np.ndarray, ni: int, nj: int):
-        M[row0 : row0 + ni, col0 : col0 + nj] = k
-        M[row0 : row0 + ni, col0 + nj : col0 + 2 * nj] = -k
-        M[row0 + ni : row0 + 2 * ni, col0 : col0 + nj] = -k
-        M[row0 + ni : row0 + 2 * ni, col0 + nj : col0 + 2 * nj] = k
-
-    for i, blk in enumerate(p.blocks):
-        o_i = int(offsets[i])
-        place(o_i, o_i, blk.K, blk.n, blk.n)
-        q[o_i : o_i + blk.n] = blk.q1
-        q[o_i + blk.n : o_i + 2 * blk.n] = blk.q2
+    offsets = np.cumsum([0] + [2 * blk.n for blk in p.blocks]).tolist()
+    M = np.zeros((offsets[-1], offsets[-1]))
+    for blk, o in zip(p.blocks, offsets):
+        _put_two_wall_block(M, o, o, blk.K)
         for j, ktilde in blk.couplings:
-            place(o_i, int(offsets[j]), ktilde, blk.n, p.blocks[j].n)
-
+            _put_two_wall_block(M, o, offsets[j], ktilde)
+    q = np.concatenate([v for blk in p.blocks for v in (blk.q1, blk.q2)])
     return LcpProblem(M, q)
 
 

@@ -60,7 +60,8 @@ MAX_SOLVES_PER_DIM = 10
 class ContactLcp:
     """n stabilizers between two walls: compliance K, offsets q_tilde, clearances y_star.
 
-    K must be symmetric positive definite and y_star strictly positive; both
+    K must be symmetric positive definite, y_star strictly positive, and the
+    solver data q_tilde + y_star, y_star - q_tilde and 2 y_star finite; all
     are enforced at construction.
     """
 
@@ -82,6 +83,13 @@ class ContactLcp:
             )
         if n == 0 or np.any(self.y_star <= 0.0):
             raise InvariantViolation("y_star must be strictly positive (n >= 1)")
+        with np.errstate(over="ignore"):  # an overflow is rejected just below
+            q, y = self.q_tilde, self.y_star
+            data = np.concatenate([q + y, y - q, 2.0 * y])
+        if not np.isfinite(data).all():
+            raise InvariantViolation(
+                "q_tilde + y_star, y_star - q_tilde and 2 y_star must be finite"
+            )
         spd_factor(self.K)
 
     @property
@@ -130,14 +138,19 @@ class PgsOptions:
     tol_scale: float = 1e-12
 
 
+def _put_two_wall_block(M: np.ndarray, row: int, col: int, k: np.ndarray) -> None:
+    """Write the two-wall block [[k, -k], [-k, k]] into M with its corner at (row, col)."""
+    ni, nj = k.shape
+    top, bottom = slice(row, row + ni), slice(row + ni, row + 2 * ni)
+    left, right = slice(col, col + nj), slice(col + nj, col + 2 * nj)
+    M[top, left] = M[bottom, right] = k
+    M[top, right] = M[bottom, left] = -k
+
+
 def assemble(c: ContactLcp) -> LcpProblem:
     """Stack the two-sided contact data into the block LCP form."""
-    n = c.n
-    M = np.empty((2 * n, 2 * n))
-    M[:n, :n] = c.K
-    M[:n, n:] = -c.K
-    M[n:, :n] = -c.K
-    M[n:, n:] = c.K
+    M = np.empty((2 * c.n, 2 * c.n))
+    _put_two_wall_block(M, 0, 0, c.K)
     q = np.concatenate([c.q_tilde + c.y_star, -c.q_tilde + c.y_star])
     return LcpProblem(M, q)
 

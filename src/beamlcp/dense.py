@@ -24,24 +24,23 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Validate and normalize a 1-d array of finite floats."""
+def _checked(x, ndim: int, name: str) -> np.ndarray:
     a = np.array(x, dtype=np.float64, order="C")
-    if a.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-dimensional, got shape {a.shape}")
+    if a.ndim != ndim:
+        raise DimensionMismatch(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return _freeze(a)
 
 
+def as_vector(x, name: str = "vector") -> np.ndarray:
+    """Validate and normalize a 1-d array of finite floats."""
+    return _checked(x, 1, name)
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and normalize a 2-d array of finite floats."""
-    m = np.array(a, dtype=np.float64, order="C")
-    if m.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return _freeze(m)
+    return _checked(a, 2, name)
 
 
 def spd_factor(a) -> np.ndarray:

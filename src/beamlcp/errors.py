@@ -77,3 +77,7 @@ class SchemaError(LcpError):
             message = f"{field}: {message}"
         super().__init__(message)
         self.field = field
+
+
+#: Every error type above, so that a star import leaves out ``annotations``.
+__all__ = [n for n, obj in globals().items() if isinstance(obj, type) and issubclass(obj, LcpError)]

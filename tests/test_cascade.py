@@ -100,6 +100,34 @@ def test_assemble_full_reference(chain_2_blocks):
     assert not np.array_equal(full.M, full.M.T)
 
 
+def test_assemble_full_places_unequal_blocks(rng):
+    # Blocks of sizes 1, 3 and 2 start at rows 0, 2 and 8; block 2 couples to
+    # block 1 only, so its columns of block 0 stay zero.
+    sizes, offsets = (1, 3, 2), (0, 2, 8)
+    ks = [gen_contact(n, rng).K for n in sizes]
+    ktilde = {(1, 0): rng.uniform(-1.0, 1.0, (3, 1)), (2, 1): rng.uniform(-1.0, 1.0, (2, 3))}
+    blocks = tuple(
+        CascadeBlock(
+            ks[i],
+            np.arange(1.0, n + 1) + 10 * i,
+            np.arange(1.0, n + 1) + 20 * i,
+            tuple((j, k) for (row, j), k in ktilde.items() if row == i),
+        )
+        for i, n in enumerate(sizes)
+    )
+    full = assemble_full(CascadeProblem(blocks))
+    assert full.M.shape == (12, 12)
+    expected = {(i, i): ks[i] for i in range(3)} | ktilde
+    for i, j in np.ndindex(3, 3):
+        k = expected.get((i, j), np.zeros((sizes[i], sizes[j])))
+        ni, nj, r, c = sizes[i], sizes[j], offsets[i], offsets[j]
+        assert np.array_equal(full.M[r : r + ni, c : c + nj], k), (i, j)
+        assert np.array_equal(full.M[r : r + ni, c + nj : c + 2 * nj], -k), (i, j)
+        assert np.array_equal(full.M[r + ni : r + 2 * ni, c : c + nj], -k), (i, j)
+        assert np.array_equal(full.M[r + ni : r + 2 * ni, c + nj : c + 2 * nj], k), (i, j)
+    assert np.array_equal(full.q, np.concatenate([v for b in blocks for v in (b.q1, b.q2)]))
+
+
 def test_gap_sum_identity_is_exact_per_stage(rng):
     for _ in range(300):
         t = int(rng.integers(1, 4))

@@ -206,6 +206,21 @@ _OUT_OF_CLASS = {
         "cascade",
         "error: payload.blocks[0]: block clearance (q1 + q2) / 2 must be finite and above 0",
     ),
+    "contact-clearance-overflow": (
+        {"kind": "contact", "payload": {"K": [[1.0]], "q_tilde": [0.0], "y_star": [1e308]}},
+        "pgs",
+        "error: payload: q_tilde + y_star, y_star - q_tilde and 2 y_star must be finite",
+    ),
+    "contact-offset-overflow": (
+        {"kind": "contact", "payload": {"K": [[1.0]], "q_tilde": [1e308], "y_star": [1e308]}},
+        "pgs",
+        "error: payload: q_tilde + y_star, y_star - q_tilde and 2 y_star must be finite",
+    ),
+    "beam-clearance-overflow": (
+        _beam([{"position": 5.0, "gap": 1e308}]),
+        "pgs",
+        "error: payload: q_tilde + y_star, y_star - q_tilde and 2 y_star must be finite",
+    ),
     "beam-without-stabilizers": (
         _beam([], [{"position": 5.0, "magnitude": 1.0}]),
         "pgs",
@@ -246,6 +261,24 @@ def test_an_overflowing_beam_prints_only_the_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: payload: flexibility matrix contains non-finite entries\n"
+
+
+def test_an_overflowing_cascade_stage_is_a_solver_failure(tmp_path, capsys):
+    # Block 0 solves to d = 1e300, which Ktilde = 1e300 shifts beyond the float range.
+    blocks = [
+        {"K": [[1e-290]], "q1": [-1e10], "q2": [10000000002.0]},
+        {"K": [[1.0]], "q1": [1.0], "q2": [1.0], "couplings": [{"j": 0, "Ktilde": [[1e300]]}]},
+    ]
+    path = write_raw(tmp_path, "p.json", {"kind": "cascade", "payload": {"blocks": blocks}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: block 1: the coupling shift overflows: q_tilde contains non-finite entries\n"
+    )
+    assert main(["solve", "--input", str(path), "--solver", "lemke"]) == 3
 
 
 def test_unknown_subcommand():

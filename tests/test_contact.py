@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from beamlcp import (
+    CascadeBlock,
+    CascadeProblem,
     ContactLcp,
     DimensionMismatch,
     InvariantViolation,
@@ -17,6 +19,7 @@ from beamlcp import (
     NotSymmetric,
     PgsOptions,
     assemble,
+    assemble_full,
     certify_unique,
     feasible_point,
     force_complementarity,
@@ -38,6 +41,10 @@ def test_construction_rejects_bad_inputs():
         ContactLcp(k, np.array([0.0]), np.array([0.0]))
     with pytest.raises(InvariantViolation):
         ContactLcp(k, np.array([0.0]), np.array([-1.0]))
+    # 2 y*, q_tilde + y* or y* - q_tilde leaves the float range.
+    for q_tilde, y_star in ((0.0, 1e308), (1e308, 1e308), (-1e308, 1e308)):
+        with pytest.raises(InvariantViolation, match="must be finite"):
+            ContactLcp(k, np.array([q_tilde]), np.array([y_star]))
     with pytest.raises(NotPositiveDefinite):
         ContactLcp(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2), np.ones(2))
     with pytest.raises(NotSymmetric):
@@ -61,6 +68,16 @@ def test_assemble_blocks_are_bitwise_copies(contact_2d):
     assert np.array_equal(p.M[n:, n:], contact_2d.K)
     assert np.array_equal(p.M[:n, n:], -contact_2d.K)
     assert np.array_equal(p.M[n:, :n], -contact_2d.K)
+
+
+def test_assemble_is_the_one_block_cascade(rng):
+    for _ in range(50):
+        c = gen_contact(int(rng.integers(1, 9)), rng)
+        block = CascadeBlock(c.K, c.q_tilde + c.y_star, -c.q_tilde + c.y_star)
+        full = assemble_full(CascadeProblem((block,)))
+        p = assemble(c)
+        assert p.M.tobytes() == full.M.tobytes()
+        assert p.q.tobytes() == full.q.tobytes()
 
 
 def test_block_matvec_annihilates_paired_vectors(rng):
