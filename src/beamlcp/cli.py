@@ -293,12 +293,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "lemke takes any kind.",
     )
     solve.add_argument(
-        "--cap", type=int, help="Request a uniqueness certificate (enumeration cap)."
+        "--cap", type=_at_least(1), help="Request a uniqueness certificate (enumeration cap)."
     )
     verify.add_argument(
         "--output", dest="solution_path", metavar="R", required=True, help="Report to check."
     )
-    enum.add_argument("--cap", type=int, default=14, help="[default: %(default)s]")
+    enum.add_argument("--cap", type=_at_least(1), default=14, help="[default: %(default)s]")
 
     gen = command("gen", cmd_gen)
     gen.add_argument("--kind", choices=fileio.KINDS, required=True)

@@ -9,16 +9,20 @@ a solution, with ``w = 0`` on the support.
 
 The bitmasks are scanned in chunks of ``16 * BLOCK_SIZE`` consecutive
 masks.  Integer operations on a chunk flag the supports that the pair rule
-below settles, and the rest go on in blocks of ``BLOCK_SIZE`` masks, all
-full but the last of each chunk.
-Within a block the supports of each size are gathered into stacked arrays
-for the singularity test (a stacked inverse whose norm clears most of them,
-and a stacked SVD of the rest), one stacked solve (the nonsingular supports)
-and one stacked SVD of the singular ones (the consistency test).  The split
-is the SVD's, and each stacked call runs the LAPACK routine of a per-support
-loop, so the split and the solved points are bit-identical to that loop; the
-consistency test forms ``lstsq``'s minimum-norm solution from the SVD.  A
-vectorized screen then drops every point that :func:`validate` would
+below settles, and the rest are grouped by size (``np.bitwise_count``).
+The supports of one size are gathered into stacked arrays, one stack per
+size and chunk unless it would hold more than ``16 * BLOCK_SIZE`` matrix
+entries, for the singularity test, one stacked solve (the nonsingular
+supports) and one stacked SVD of the singular ones (the consistency test).
+The singularity test clears a support without its SVD when a bound proves
+``sigma_min`` above twice the cut: first a row diagonal dominance margin
+(J. M. Varah, Linear Algebra Appl. 11, 1975) from one pass over
+``|M_SS|``, then the norm of a stacked inverse of the supports that the
+margin left.  Only the rest reach a stacked SVD, so the split is the
+SVD's, and each stacked call runs the LAPACK routine of a per-support
+loop: the split and the solved points are bit-identical to that loop.
+The consistency test forms ``lstsq``'s minimum-norm solution from the SVD.
+A vectorized screen then drops every point that :func:`validate` would
 certainly reject.  Only the survivors and the family points are validated
 and deduplicated, one by one in ascending mask order.  Singular supports are
 kept as two arrays, their bitmasks in ascending order and a consistency flag
@@ -80,10 +84,11 @@ CONSISTENCY_RTOL = 1e-8
 #: of the two rows, so 4 keeps the rule twice inside the least-squares test.
 PAIR_MARGIN = 4.0
 
-#: Supports classified together, and the bases of a family solved together.
-#: One stacked call per support size (or chunk of bases) amortizes NumPy's
-#: per-call cost, and the working arrays stay a few MB at dimension 18
-#: however many blocks a problem has.
+#: The working sizes: a chunk scans ``16 * BLOCK_SIZE`` masks, one stacked
+#: singularity test and solve holds at most ``16 * BLOCK_SIZE`` matrix
+#: entries (or a single support), and a family solves ``BLOCK_SIZE`` bases
+#: together.  Stacked calls amortize NumPy's per-call cost, and the working
+#: arrays stay a few MB at dimension 18 however many chunks a problem has.
 BLOCK_SIZE = 1024
 
 
@@ -143,15 +148,31 @@ def _smallest_singular_values(stack: np.ndarray) -> np.ndarray:
 def _singular(stack: np.ndarray, cut: np.ndarray) -> np.ndarray:
     """Whether each matrix of a (B, k, k) stack has ``sigma_min <= cut``, as its SVD decides.
 
-    ``2 sqrt(k) ||inv||_inf cut < 1`` proves ``sigma_min > 2 cut``, far beyond rounding.
+    Two bounds prove ``sigma_min > 2 cut``, far beyond rounding, through
+    ``sigma_min >= 1 / (sqrt(k) ||inv||_inf)``, and a matrix that either one clears
+    never reaches the SVD.  The first needs no inverse: the row dominance margin
+    ``min_i(2|a_ii| - sum_j |a_ij|)`` is below ``1 / ||inv||_inf`` (J. M. Varah, "A
+    lower bound for the smallest singular value of a matrix", Linear Algebra Appl. 11,
+    1975), so a margin above ``2 sqrt(k) cut`` clears the matrix.  The matrices it
+    leaves are inverted, and ``2 sqrt(k) ||inv||_inf cut < 1`` clears them.
     """
+    bound = (2.0 * stack.shape[-1] ** 0.5) * cut
+    absolute = np.abs(stack)
+    diagonal = absolute.diagonal(0, 1, 2)
+    off = np.einsum("bij->bi", absolute) - diagonal  # sum_{j != i} |a_ij|, row by row
+    singular = (off >= diagonal - bound[:, None]).any(axis=1)  # so far, what the margin left
+    left = np.count_nonzero(singular)
+    if not left:
+        return singular
+    rest = slice(None) if left == singular.size else np.flatnonzero(singular)
     try:
-        inv_norm = np.abs(np.linalg.inv(stack)).sum(axis=2).max(axis=1)
-    except np.linalg.LinAlgError:  # an exactly zero LU pivot: the SVD decides all
-        return _smallest_singular_values(stack) <= cut
+        inverse = np.abs(np.linalg.inv(stack[rest]))
+    except np.linalg.LinAlgError:  # an exactly zero LU pivot: the SVD decides the rest
+        singular[rest] = _smallest_singular_values(stack[rest]) <= cut[rest]
+        return singular
     with np.errstate(over="ignore"):  # an overflow gives inf, which goes to the SVD
-        singular = ~(inv_norm * (2.0 * np.sqrt(stack.shape[-1])) * cut < 1.0)
-    if singular.any():  # so far, the matrices the bound did not clear
+        singular[rest] = ~(np.einsum("bij->bi", inverse) * bound[rest, None] < 1.0).all(axis=1)
+    if singular.any():  # so far, the matrices neither bound cleared
         singular[singular] = _smallest_singular_values(stack[singular]) <= cut[singular]
     return singular
 
@@ -300,38 +321,38 @@ def _block_outcomes(
     full-length points still to validate, in ascending mask order: the
     screened solution of each nonsingular support and the family points of
     each consistent singular one.  ``masks`` are ascending and nonzero, and
-    none holds a pair of :func:`_negated_pairs`; the supports of one size
-    share one singularity test, solve and screen.
+    none holds a pair of :func:`_negated_pairs`.  The supports of one size
+    share one singularity test, solve and screen, split only where their
+    matrices would hold more than ``16 * BLOCK_SIZE`` entries.
     """
     n = problem.n
-    bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-    sizes = bits.sum(axis=1)
+    places = np.arange(n)
+    sizes = np.bitwise_count(masks)
     singular = np.zeros(masks.size, dtype=bool)
     consistent = np.zeros(masks.size, dtype=bool)
     found = []
     for k in np.unique(sizes).tolist():
-        rows = np.flatnonzero(sizes == k)
-        idx = np.nonzero(bits[rows])[1].reshape(-1, k)
-        mss = problem.M[idx[:, :, None], idx[:, None, :]]
-        q_s = problem.q[idx]
-        sing = _singular(mss, SINGULARITY_RTOL * np.abs(mss).sum(axis=2).max(axis=1))
-        singular[rows[sing]] = True
-
-        ns = np.flatnonzero(~sing)
-        if ns.size:
-            z = np.zeros((ns.size, n))
-            z[np.arange(ns.size)[:, None], idx[ns]] = np.linalg.solve(
-                mss[ns], -q_s[ns][..., None]
-            )[..., 0]
+        group = np.flatnonzero(sizes == k)
+        per_call = max(1, 16 * BLOCK_SIZE // k**2)
+        for first in range(0, group.size, per_call):
+            rows = group[first:first + per_call]
+            idx = np.nonzero((masks[rows, None] >> places) & 1)[1].reshape(-1, k)
+            mss = problem.M[idx[:, :, None], idx[:, None, :]]
+            q_s = problem.q[idx]
+            sing = _singular(mss, SINGULARITY_RTOL * np.abs(mss).sum(axis=2).max(axis=1))
+            if sing.any():
+                singular[rows[sing]] = True
+                ok = _lstsq_consistent(mss[sing], q_s[sing])
+                consistent[rows[sing]] = ok
+                for j in np.flatnonzero(sing)[ok].tolist():
+                    found.append((rows[j], _family_points(problem, idx[j], tol)))
+                if sing.all():
+                    continue
+                rows, idx, mss, q_s = rows[~sing], idx[~sing], mss[~sing], q_s[~sing]
+            z = np.zeros((rows.size, n))
+            z[np.arange(rows.size)[:, None], idx] = np.linalg.solve(mss, -q_s[..., None])[..., 0]
             for j in np.flatnonzero(_screen(problem, z, tol)).tolist():
-                found.append((rows[ns[j]], [z[j].copy()]))
-
-        sg = np.flatnonzero(sing)
-        if sg.size:
-            ok = _lstsq_consistent(mss[sg], q_s[sg])
-            consistent[rows[sg]] = ok
-            for j in sg[ok].tolist():
-                found.append((rows[j], _family_points(problem, idx[j], tol)))
+                found.append((rows[j], [z[j].copy()]))
     found.sort(key=lambda item: item[0])
     return singular, consistent, [z for _, points in found for z in points]
 
@@ -375,13 +396,11 @@ def enumerate_solutions(
             singular |= ((masks >> i) & (masks >> j) & 1).astype(bool)
         consistent = np.zeros(masks.size, dtype=bool)
         unpaired = np.flatnonzero(~singular)
-        for first in range(0, unpaired.size, BLOCK_SIZE):
-            block = unpaired[first:first + BLOCK_SIZE]
-            singular[block], consistent[block], candidates = _block_outcomes(
-                problem, masks[block], tol
-            )
-            for z in candidates:
-                consider(z)
+        singular[unpaired], consistent[unpaired], candidates = _block_outcomes(
+            problem, masks[unpaired], tol
+        )
+        for z in candidates:
+            consider(z)
         singular_masks.append(masks[singular])
         singular_consistent.append(consistent[singular])
 

@@ -137,6 +137,26 @@ def test_solve_cap_too_small_for_problem(contact_file):
     assert main(["solve", "--input", str(contact_file), "--cap", "1"]) == 1
 
 
+@pytest.mark.parametrize("command, cap", [("solve", "-3"), ("solve", "0"), ("enumerate", "0")])
+def test_a_cap_below_one_is_a_usage_error_before_any_work(
+    tmp_path, contact_file, capsys, monkeypatch, command, cap
+):
+    import beamlcp.cli
+
+    def no_work(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(beamlcp.cli.fileio, "load_problem", no_work)
+    argv = [command, "--input", str(contact_file), "--cap", cap]
+    if command == "solve":
+        argv += ["--output", str(tmp_path / "report.json")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--cap: {cap} is below the minimum 1" in captured.err, captured.err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_solve_missing_input_flag():
     assert main(["solve"]) == 1
 

@@ -176,6 +176,77 @@ def with_smallest_singular_value(ratio: float, k: int, symmetric: bool, rng) -> 
 RATIOS = [0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 4.0, 100.0, 1e8]
 
 
+def dominant(stack: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """Whether each matrix's row dominance margin exceeds ``2 sqrt(k)`` times its cut."""
+    a = np.abs(stack)
+    margin = (2.0 * np.diagonal(a, axis1=1, axis2=2) - a.sum(axis=2)).min(axis=1)
+    return margin > 2.0 * np.sqrt(stack.shape[-1]) * cut
+
+
+def with_dominance_margin(ratio: float, k: int, rng) -> np.ndarray:
+    """A non-symmetric k x k matrix with a row dominance margin of ``ratio * 2 sqrt(k)`` cut.
+
+    Row 0 has a diagonal of ``10 k`` beyond its other entries and holds the
+    largest absolute row sum, which sets the cut; row 1 has exactly the margin,
+    and the other rows up to twice it.  A 1 x 1 matrix is its own margin,
+    ``5e9`` times ``2 cut``.
+    """
+    a = rng.uniform(-1.0, 1.0, (k, k))
+    np.fill_diagonal(a, 0.0)
+    off = np.abs(a).sum(axis=1)
+    diagonal = off + 10.0 * k
+    margin = ratio * 2.0 * np.sqrt(k) * oracle.SINGULARITY_RTOL * float(diagonal[0] + off[0])
+    spread = rng.uniform(1.0, 2.0, k)
+    spread[:2] = 1.0
+    diagonal[1:] = off[1:] + margin * spread[1:]
+    np.fill_diagonal(a, diagonal * rng.choice([-1.0, 1.0], k))
+    order = rng.permutation(k)
+    return a[np.ix_(order, order)]
+
+
+MARGINS = [0.5, 0.99, 1.01, 2.0, 1e8]
+
+
+def counting_inverses(monkeypatch) -> list:
+    """Record the number of matrices in each stack that ``np.linalg.inv`` is given."""
+    inverted = []
+    inv = np.linalg.inv
+
+    def counted(stack):
+        inverted.append(stack.shape[0])
+        return inv(stack)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return inverted
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", range(1, 13))
+def test_the_dominance_margin_clears_without_an_inverse(k, monkeypatch):
+    """``_singular`` equals the SVD's decision, and no dominant matrix is inverted.
+
+    Each stack holds matrices whose row dominance margin is ``MARGINS`` times
+    ``2 sqrt(k)`` cut, two with ``sigma_min`` half and twice the cut, and one
+    with a zero row, at scales from 2^-600 to 2^600.  Varah's bound clears the
+    matrices above the margin, so only the others reach ``np.linalg.inv``.
+    """
+    inverted = counting_inverses(monkeypatch)
+    rng = np.random.default_rng(100 + k)
+    stack = [with_dominance_margin(r, k, rng) for r in MARGINS]
+    stack += [with_smallest_singular_value(r, k, False, rng) for r in (0.5, 2.0)]
+    stack = np.array(stack + [np.vstack([np.zeros(k), stack[0][1:]])])
+    for e in (-600, -40, 0, 40, 600):
+        scaled = stack * 2.0**e
+        cut = oracle.SINGULARITY_RTOL * np.abs(scaled).sum(axis=2).max(axis=1)
+        clear = dominant(scaled, cut)
+        assert clear[:len(MARGINS)].tolist() == [k == 1 or r > 1.0 for r in MARGINS]
+        assert not clear[-1]
+        inverted.clear()
+        want = oracle._smallest_singular_values(scaled) <= cut
+        assert oracle._singular(scaled, cut).tolist() == want.tolist(), e
+        assert sum(inverted) == int((~clear).sum()), e
+
+
 @pytest.mark.parametrize("k", range(1, 13))
 def test_the_inverse_bound_makes_the_svd_decision(k, monkeypatch):
     """``_singular`` equals the SVD's decision on every matrix of mixed stacks.
@@ -184,8 +255,9 @@ def test_the_inverse_bound_makes_the_svd_decision(k, monkeypatch):
     cut in ``RATIOS``, two symmetric ones just below and above the cut, and one
     with a zero row (an exactly zero LU pivot), at scales from 2^-600 to 2^600:
     there the squares of the inverse's entries under- or overflow.  The SVD sees
-    every matrix of a stack with a zero pivot, and otherwise at most the nine
-    below 100 times the cut: the inverse clears every matrix above ``2 k`` times it.
+    every matrix of a stack with a zero pivot that the dominance margin left (all
+    but the nonzero 1 x 1 ones), and otherwise at most the nine below 100 times
+    the cut: the inverse clears every matrix above ``2 k`` times it.
     """
     seen = []
     svd = oracle._smallest_singular_values
@@ -207,7 +279,7 @@ def test_the_inverse_bound_makes_the_svd_decision(k, monkeypatch):
             seen.clear()
             assert oracle._singular(scaled, cut).tolist() == want.tolist(), e
             if singular_one:
-                assert want[-1] and seen == [len(stack)]
+                assert want[-1] and seen == [int((~dominant(scaled, cut)).sum())]
             else:
                 assert sum(seen) <= len(RATIOS)
             if k > 1:
@@ -442,7 +514,7 @@ def test_paired_supports_skip_the_stacked_tests(monkeypatch, degenerate_2d):
     rows = counting_stacks(monkeypatch)
     contact = assemble(gen_contact(6, np.random.default_rng(6)))
     result = enumerate_solutions(contact, tol=_tolerance(None, contact), cap=12)
-    # Only the sign patterns of d reach the singularity test; the inverse clears them all.
+    # Only the sign patterns of d reach the singularity test; the dominance margin clears them all.
     assert rows == {"singular": 3**6 - 1, "svd": 0, "lstsq": 0}
     assert len(result.singular_supports) == 4**6 - 3**6
     assert not any(s.consistent for s in result.singular_supports)
@@ -461,30 +533,63 @@ def test_paired_supports_skip_the_stacked_tests(monkeypatch, degenerate_2d):
     assert rows == {"singular": 3, "svd": 1, "lstsq": 1}
 
 
-def test_only_unpaired_supports_reach_the_blocks_and_fill_them(monkeypatch):
-    blocks = []
-    block_outcomes = oracle._block_outcomes
+def recording_calls(monkeypatch) -> list:
+    """Record each ``_block_outcomes`` call: its masks and each singularity test's ``(B, k)``."""
+    calls = []
+    block_outcomes, singular = oracle._block_outcomes, oracle._singular
 
-    def recorded(problem, masks, tol):
-        blocks.append(masks.copy())
+    def recorded_blocks(problem, masks, tol):
+        calls.append((masks.copy(), []))
         return block_outcomes(problem, masks, tol)
 
-    monkeypatch.setattr(oracle, "_block_outcomes", recorded)
+    def recorded_singular(stack, cut):
+        calls[-1][1].append(stack.shape[:2])
+        return singular(stack, cut)
+
+    monkeypatch.setattr(oracle, "_block_outcomes", recorded_blocks)
+    monkeypatch.setattr(oracle, "_singular", recorded_singular)
+    return calls
+
+
+def check_stacks(masks: np.ndarray, stacks: list):
+    """The supports of each size went through full stacks within the entry budget, then the rest.
+
+    A stack holds ``16 * BLOCK_SIZE // k**2`` supports of size ``k``, or one when
+    a single support has more entries than that.
+    """
+    sizes = np.bitwise_count(masks)
+    for k in np.unique(sizes).tolist():
+        per_call = max(1, 16 * oracle.BLOCK_SIZE // k**2)
+        count = int((sizes == k).sum())
+        full, rest = divmod(count, per_call)
+        assert [b for b, size in stacks if size == k] == [per_call] * full + [rest] * (rest > 0)
+    assert sum(b for b, _ in stacks) == masks.size
+
+
+def test_only_unpaired_supports_reach_the_blocks_and_fill_them(monkeypatch):
+    """One call per chunk takes its unpaired masks, ascending; each size fills its stacks."""
+    calls = recording_calls(monkeypatch)
     contact = assemble(gen_contact(6, np.random.default_rng(6)))
     enumerate_solutions(contact, tol=_tolerance(None, contact), cap=12)
-    masks = np.concatenate(blocks)
+    [(masks, stacks)] = calls
     i, j = oracle._negated_pairs(contact)
     assert i.size == 6
     assert masks.size == 3**6 - 1
     assert (np.diff(masks) > 0).all()
     assert not ((masks[:, None] >> i) & (masks[:, None] >> j) & 1).any()
-    assert len(blocks) == -(-masks.size // oracle.BLOCK_SIZE)
-    assert all(b.size == oracle.BLOCK_SIZE for b in blocks[:-1])
+    check_stacks(masks, stacks)
 
-    blocks.clear()
     general = gen_general(8, np.random.default_rng(8))
-    enumerate_solutions(general, tol=_tolerance(None, general), cap=8)
-    assert np.array_equal(np.concatenate(blocks), np.arange(1, 2**8))
+    for block_size, chunks in ((oracle.BLOCK_SIZE, 1), (4, 4)):
+        monkeypatch.setattr(oracle, "BLOCK_SIZE", block_size)
+        calls.clear()
+        enumerate_solutions(general, tol=_tolerance(None, general), cap=8)
+        assert len(calls) == chunks
+        assert np.array_equal(np.concatenate([m for m, _ in calls]), np.arange(1, 2**8))
+        for masks, stacks in calls:
+            check_stacks(masks, stacks)
+    # 64 entries hold 4 supports of size 4: the 20 in the third chunk (129 to 192) take 5 stacks.
+    assert [b for b, k in calls[2][1] if k == 4] == [4] * 5
 
 
 def pair_threshold(q: np.ndarray) -> float:
@@ -566,26 +671,41 @@ def test_the_pair_rule_agrees_with_the_loop_at_its_threshold(side, monkeypatch):
     assert np.array_equal(got.z, kept[0])
 
 
+#: Problems whose size groups the stacks of the next test split, and how many of
+#: their supports reach the inverse: the margin clears all of the first, and half
+#: of the 3^4 - 1 unpaired supports of the second.
+SPLIT = {
+    "general-n6-dominant": (gen_general(6, np.random.default_rng(600)), 0),
+    "cascade-t3-n4-s20": (assemble_full(gen_cascade(3, 2, np.random.default_rng(20))), 40),
+}
+
+
 @pytest.mark.parametrize("block_size", [1, 3, 7])
 @pytest.mark.parametrize(
     "name", ["contact-n4-s0", "beam-n4-s0", "cascade-t2-n2-s0", "lifted-singular-psd",
-             "pair-below", "pair-above"],
+             "pair-below", "pair-above", *SPLIT],
 )
 def test_split_blocks_and_chunks_reproduce_the_per_support_loop(name, block_size, monkeypatch):
-    """Blocks of 1, 3 or 7 supports, and chunks of 16, 48 or 112 masks, change nothing.
+    """Stacks of at most 16, 48 or 112 entries, and chunks of as many masks, change nothing.
 
     ``pair-below`` and ``pair-above`` have one negated pair beyond the pair
-    rule's threshold and one just below or above it.
+    rule's threshold and one just below or above it.  The problems of ``SPLIT``
+    have a size group that a chunk holds in more than one stack.
     """
     if name.startswith("pair-"):
         gap = (0.999 if name == "pair-below" else 1.001) * pair_threshold(np.ones(1))
         m = np.block([[PAIRED_K, -PAIRED_K], [-PAIRED_K, PAIRED_K]])
         problem = LcpProblem(m, [-1.0 + gap, 0.5, 1.0, 0.5])
     else:
-        problem = CASES[name]
+        problem = SPLIT[name][0] if name in SPLIT else CASES[name]
     tol = _tolerance(None, problem)
     monkeypatch.setattr(oracle, "BLOCK_SIZE", block_size)
+    inverted = counting_inverses(monkeypatch)
+    calls = recording_calls(monkeypatch)
     got = enumerate_solutions(problem, tol=tol, cap=problem.n)
+    if name in SPLIT:
+        assert sum(inverted) == SPLIT[name][1]
+        assert any(len(stacks) > len(set(k for _, k in stacks)) for _, stacks in calls)
     kept, counts, singulars = loop_enumeration(problem, tol)
     assert got.singular_supports == singulars
     assert got.multiplicities == tuple(counts)
