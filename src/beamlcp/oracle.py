@@ -10,24 +10,28 @@ a solution, with ``w = 0`` on the support.
 The bitmasks are scanned in chunks of ``16 * BLOCK_SIZE`` consecutive
 masks.  Integer operations on a chunk flag the supports that the pair rule
 below settles, and the rest are grouped by size (``np.bitwise_count``).
-The supports of one size are gathered into stacked arrays, one stack per
-size and chunk unless it would hold more than ``16 * BLOCK_SIZE`` matrix
-entries, for the singularity test, one stacked solve (the nonsingular
-supports) and one stacked SVD of the singular ones (the consistency test).
-The singularity test clears a support without its SVD when a bound proves
-``sigma_min`` above twice the cut: first a row diagonal dominance margin
-(J. M. Varah, Linear Algebra Appl. 11, 1975) from one pass over
-``|M_SS|``, then the norm of a stacked inverse of the supports that the
-margin left.  Only the rest reach a stacked SVD, so the split is the
-SVD's, and each stacked call runs the LAPACK routine of a per-support
-loop: the split and the solved points are bit-identical to that loop.
-The consistency test forms ``lstsq``'s minimum-norm solution from the SVD.
-A vectorized screen then drops every point that :func:`validate` would
-certainly reject.  Only the survivors and the family points are validated
-and deduplicated, one by one in ascending mask order.  Singular supports are
-kept as two arrays, their bitmasks in ascending order and a consistency flag
-each, with no object per support; ``EnumerationResult.singular_supports``
-builds :class:`SingularSupport` records from them only when it is read.
+The supports of one size are gathered by flat index into stacked arrays,
+one stack per size and chunk unless it would hold more than
+``16 * BLOCK_SIZE`` matrix entries, for the singularity test, one stacked
+solve (the nonsingular supports) and one stacked SVD of the singular ones
+(the consistency test).  The singularity test makes one pass over
+``|M_SS|`` and its row sums, which give both the cut and a row diagonal
+dominance margin (J. M. Varah, Linear Algebra Appl. 11, 1975).  It clears
+a support without its SVD when a bound proves ``sigma_min`` above twice
+the cut: first the margin, then the norm of a stacked inverse of the
+supports that the margin left.  Only the rest reach a stacked SVD, against
+the cut a per-support loop takes, so the split is the SVD's, and each
+stacked call runs the LAPACK routine of that loop: the split and the
+solved points are bit-identical to it.  The consistency test forms
+``lstsq``'s minimum-norm solution from the SVD.  A solved point with an
+entry below ``-tol`` is dropped at once, as :func:`validate` would drop
+it; the rest are scattered to full length, and a vectorized screen drops
+every point that :func:`validate` would certainly reject.  Only the
+survivors and the family points are validated and deduplicated, one by
+one in ascending mask order.  Singular supports are kept as two arrays,
+their bitmasks in ascending order and a consistency flag each, with no
+object per support; ``EnumerationResult.singular_supports`` builds
+:class:`SingularSupport` records from them only when it is read.
 
 One exact rule settles many supports without LAPACK.  When rows ``i`` and
 ``j`` of ``M`` are exact negatives, every support holding both is exactly
@@ -145,22 +149,29 @@ def _smallest_singular_values(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[:, -1]
 
 
-def _singular(stack: np.ndarray, cut: np.ndarray) -> np.ndarray:
-    """Whether each matrix of a (B, k, k) stack has ``sigma_min <= cut``, as its SVD decides.
+def _singular(stack: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a (B, k, k) stack is singular, as its SVD decides.
 
-    Two bounds prove ``sigma_min > 2 cut``, far beyond rounding, through
-    ``sigma_min >= 1 / (sqrt(k) ||inv||_inf)``, and a matrix that either one clears
-    never reaches the SVD.  The first needs no inverse: the row dominance margin
-    ``min_i(2|a_ii| - sum_j |a_ij|)`` is below ``1 / ||inv||_inf`` (J. M. Varah, "A
-    lower bound for the smallest singular value of a matrix", Linear Algebra Appl. 11,
-    1975), so a margin above ``2 sqrt(k) cut`` clears the matrix.  The matrices it
-    leaves are inverted, and ``2 sqrt(k) ||inv||_inf cut < 1`` clears them.
+    The SVD's cut is ``SINGULARITY_RTOL`` times the largest absolute row sum, and a
+    matrix is singular when ``sigma_min <= cut``.  Two bounds prove ``sigma_min`` above
+    twice the cut, far beyond rounding, through ``sigma_min >= 1 / (sqrt(k) ||inv||_inf)``,
+    and a matrix that either one clears never reaches the SVD.  The first needs no
+    inverse: the row dominance margin ``min_i(2|a_ii| - sum_j |a_ij|)`` is below
+    ``1 / ||inv||_inf`` (J. M. Varah, "A lower bound for the smallest singular value of a
+    matrix", Linear Algebra Appl. 11, 1975), so a margin above ``2 sqrt(k) cut`` clears
+    the matrix.  The matrices it leaves are inverted, and ``2 sqrt(k) ||inv||_inf cut < 1``
+    clears them.  Both bounds take the cut from the row sums of ``|a|`` that the margin
+    uses.  These ``einsum`` sums may differ from ``np.sum``'s in the last bits, by at most
+    ``k eps`` relative since the terms are nonnegative, so a matrix cleared at twice this
+    cut still has ``sigma_min`` above the loop's.  Only the matrices that reach the SVD
+    take the cut from ``np.sum``'s row sums, as a per-support loop does.
     """
-    bound = (2.0 * stack.shape[-1] ** 0.5) * cut
+    k = stack.shape[-1]
     absolute = np.abs(stack)
+    sums = np.einsum("bij->bi", absolute)
+    bound = (2.0 * k**0.5 * SINGULARITY_RTOL) * sums.max(axis=1)
     diagonal = absolute.diagonal(0, 1, 2)
-    off = np.einsum("bij->bi", absolute) - diagonal  # sum_{j != i} |a_ij|, row by row
-    singular = (off >= diagonal - bound[:, None]).any(axis=1)  # so far, what the margin left
+    singular = (sums - diagonal >= diagonal - bound[:, None]).any(axis=1)  # what the margin left
     left = np.count_nonzero(singular)
     if not left:
         return singular
@@ -168,13 +179,18 @@ def _singular(stack: np.ndarray, cut: np.ndarray) -> np.ndarray:
     try:
         inverse = np.abs(np.linalg.inv(stack[rest]))
     except np.linalg.LinAlgError:  # an exactly zero LU pivot: the SVD decides the rest
-        singular[rest] = _smallest_singular_values(stack[rest]) <= cut[rest]
+        singular[rest] = _svd_singular(stack[rest], absolute[rest])
         return singular
     with np.errstate(over="ignore"):  # an overflow gives inf, which goes to the SVD
         singular[rest] = ~(np.einsum("bij->bi", inverse) * bound[rest, None] < 1.0).all(axis=1)
     if singular.any():  # so far, the matrices neither bound cleared
-        singular[singular] = _smallest_singular_values(stack[singular]) <= cut[singular]
+        singular[singular] = _svd_singular(stack[singular], absolute[singular])
     return singular
+
+
+def _svd_singular(stack: np.ndarray, absolute: np.ndarray) -> np.ndarray:
+    """``sigma_min <= SINGULARITY_RTOL * max row sum`` per matrix, ``absolute`` being ``|stack|``."""
+    return _smallest_singular_values(stack) <= SINGULARITY_RTOL * absolute.sum(axis=2).max(axis=1)
 
 
 def _lstsq_consistent(stack: np.ndarray, q_s: np.ndarray) -> np.ndarray:
@@ -323,9 +339,12 @@ def _block_outcomes(
     each consistent singular one.  ``masks`` are ascending and nonzero, and
     none holds a pair of :func:`_negated_pairs`.  The supports of one size
     share one singularity test, solve and screen, split only where their
-    matrices would hold more than ``16 * BLOCK_SIZE`` entries.
+    matrices would hold more than ``16 * BLOCK_SIZE`` entries.  Only the
+    solved points with no entry below ``-tol`` are scattered and screened:
+    that is the screen's own ``z`` test, since the zeros off the support pass.
     """
     n = problem.n
+    flat = problem.M.ravel()
     places = np.arange(n)
     sizes = np.bitwise_count(masks)
     singular = np.zeros(masks.size, dtype=bool)
@@ -337,9 +356,9 @@ def _block_outcomes(
         for first in range(0, group.size, per_call):
             rows = group[first:first + per_call]
             idx = np.nonzero((masks[rows, None] >> places) & 1)[1].reshape(-1, k)
-            mss = problem.M[idx[:, :, None], idx[:, None, :]]
+            mss = flat.take(idx[:, :, None] * n + idx[:, None, :])
             q_s = problem.q[idx]
-            sing = _singular(mss, SINGULARITY_RTOL * np.abs(mss).sum(axis=2).max(axis=1))
+            sing = _singular(mss)
             if sing.any():
                 singular[rows[sing]] = True
                 ok = _lstsq_consistent(mss[sing], q_s[sing])
@@ -349,8 +368,13 @@ def _block_outcomes(
                 if sing.all():
                     continue
                 rows, idx, mss, q_s = rows[~sing], idx[~sing], mss[~sing], q_s[~sing]
+            sol = np.linalg.solve(mss, -q_s[..., None])[..., 0]
+            signed = (sol >= -tol).all(axis=1).nonzero()[0]  # _screen's own z test, on S
+            if not signed.size:
+                continue
+            rows, idx = rows[signed], idx[signed]
             z = np.zeros((rows.size, n))
-            z[np.arange(rows.size)[:, None], idx] = np.linalg.solve(mss, -q_s[..., None])[..., 0]
+            z[np.arange(rows.size)[:, None], idx] = sol[signed]
             for j in np.flatnonzero(_screen(problem, z, tol)).tolist():
                 found.append((rows[j], [z[j].copy()]))
     found.sort(key=lambda item: item[0])

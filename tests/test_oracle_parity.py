@@ -139,13 +139,18 @@ def test_svd_and_lu_classify_every_support_alike(problem):
         cut = oracle.SINGULARITY_RTOL * float(np.abs(mss).sum(axis=1).max())
         by_svd = oracle._smallest_singular_values(mss[None])[0] <= cut
         by_lu = lu_smallest_pivot(mss) <= cut
-        by_inverse = oracle._singular(mss[None], np.array([cut]))[0]
+        by_inverse = oracle._singular(mss[None])[0]
         assert by_svd == by_lu == by_inverse, s
+
+
+def loop_cut(stack: np.ndarray) -> np.ndarray:
+    """The per-support loop's singularity cut of each matrix in a (B, k, k) stack."""
+    return oracle.SINGULARITY_RTOL * np.abs(stack).sum(axis=2).max(axis=1)
 
 
 def test_enumeration_matches_the_scipy_reference(problem, monkeypatch):
     new = certify_unique(problem, tol=_tolerance(None, problem))
-    monkeypatch.setattr(oracle, "_singular", lambda stack, cut: lu_smallest_pivots(stack) <= cut)
+    monkeypatch.setattr(oracle, "_singular", lambda m: lu_smallest_pivots(m) <= loop_cut(m))
     ref = certify_unique(problem, tol=_tolerance(None, problem))
 
     assert new.verdict is ref.verdict
@@ -237,13 +242,13 @@ def test_the_dominance_margin_clears_without_an_inverse(k, monkeypatch):
     stack = np.array(stack + [np.vstack([np.zeros(k), stack[0][1:]])])
     for e in (-600, -40, 0, 40, 600):
         scaled = stack * 2.0**e
-        cut = oracle.SINGULARITY_RTOL * np.abs(scaled).sum(axis=2).max(axis=1)
+        cut = loop_cut(scaled)
         clear = dominant(scaled, cut)
         assert clear[:len(MARGINS)].tolist() == [k == 1 or r > 1.0 for r in MARGINS]
         assert not clear[-1]
         inverted.clear()
         want = oracle._smallest_singular_values(scaled) <= cut
-        assert oracle._singular(scaled, cut).tolist() == want.tolist(), e
+        assert oracle._singular(scaled).tolist() == want.tolist(), e
         assert sum(inverted) == int((~clear).sum()), e
 
 
@@ -274,10 +279,10 @@ def test_the_inverse_bound_makes_the_svd_decision(k, monkeypatch):
         stack = np.array(base + [np.vstack([np.zeros(k), base[0][1:]])] * singular_one)
         for e in (-600, -40, 0, 40, 600):
             scaled = stack * 2.0**e
-            cut = oracle.SINGULARITY_RTOL * np.abs(scaled).sum(axis=2).max(axis=1)
+            cut = loop_cut(scaled)
             want = svd(scaled) <= cut
             seen.clear()
-            assert oracle._singular(scaled, cut).tolist() == want.tolist(), e
+            assert oracle._singular(scaled).tolist() == want.tolist(), e
             if singular_one:
                 assert want[-1] and seen == [int((~dominant(scaled, cut)).sum())]
             else:
@@ -287,13 +292,61 @@ def test_the_inverse_bound_makes_the_svd_decision(k, monkeypatch):
                 assert want[len(RATIOS):len(RATIOS) + 2].tolist() == [True, False]
 
 
+def with_differing_row_sums(ratio: float, k: int, rng) -> np.ndarray:
+    """A matrix from :func:`with_smallest_singular_value` whose largest row sum of ``|a|``
+    differs in the last bits between ``np.einsum`` and ``np.sum``."""
+    while True:
+        a = with_smallest_singular_value(ratio, k, False, rng)
+        absolute = np.abs(a)
+        if np.einsum("ij->i", absolute).max() != absolute.sum(axis=1).max():
+            return a
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", range(8, 13))
+def test_the_derived_cut_never_flips_a_decision(k, monkeypatch):
+    """``_singular``'s bounds take the cut from ``einsum`` row sums, its SVD from the loop's.
+
+    Each stack holds two matrices at each ratio of ``sigma_min`` to the loop's cut,
+    0.5, 0.999, 1.001 and 2, whose two row sums differ, at scales from 2^-600 to
+    2^600.  No bound clears them, so every one reaches the SVD, and the decision is
+    the loop's.  With the SVD's answer replaced by the loop's cut, by the next float
+    above it and by the cut from ``einsum`` row sums, the decision is still taken
+    against the loop's cut, bit for bit.
+    """
+    rng = np.random.default_rng(800 + k)
+    stack = np.array([with_differing_row_sums(r, k, rng) for r in (0.5, 0.999, 1.001, 2.0) * 2])
+    svd = oracle._smallest_singular_values
+    for e in (-600, -40, 0, 40, 600):
+        scaled = stack * 2.0**e
+        cut = loop_cut(scaled)
+        derived = oracle.SINGULARITY_RTOL * np.einsum("bij->bi", np.abs(scaled)).max(axis=1)
+        assert {-1.0, 1.0} <= set(np.sign(derived - cut).tolist()), e
+        want = svd(scaled) <= cut
+        assert want.tolist() == [True, True, False, False] * 2, e
+        assert oracle._singular(scaled).tolist() == want.tolist(), e
+        every, none = np.ones(len(stack), dtype=bool), np.zeros(len(stack), dtype=bool)
+        for answer, decision in ((cut, every), (np.nextafter(cut, np.inf), none),
+                                 (derived, derived <= cut)):
+            seen = []
+            by_row = dict(zip(map(bytes, scaled), answer))
+
+            def patched(sub):
+                seen.append(sub.shape[0])
+                return np.array([by_row[bytes(m)] for m in sub])
+
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_smallest_singular_values", patched)
+                assert oracle._singular(scaled).tolist() == decision.tolist(), e
+            assert seen == [len(stack)], e
+
+
 def test_an_overflowing_bound_goes_to_the_svd_without_a_warning():
     """``||inv||_inf`` is finite (1e300), but its product with the cut (1e10) overflows."""
     stack = np.diag([1e20, 1e-300])[None]
-    cut = oracle.SINGULARITY_RTOL * np.abs(stack).sum(axis=2).max(axis=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert oracle._singular(stack, cut).tolist() == [True]
+        assert oracle._singular(stack).tolist() == [True]
 
 
 def sliver(s_min: float) -> np.ndarray:
@@ -460,6 +513,23 @@ def test_validate_runs_only_on_screened_survivors(monkeypatch):
     assert len(calls) <= 1 + sum(result.multiplicities)
 
 
+def test_only_sign_feasible_points_reach_the_screen(monkeypatch):
+    """``_screen`` sees only points with ``z >= -tol``, fewer than the nonsingular supports."""
+    seen = []
+    screen = oracle._screen
+
+    def recorded(problem, z, tol):
+        seen.append((z >= -tol).all(axis=1))
+        return screen(problem, z, tol)
+
+    monkeypatch.setattr(oracle, "_screen", recorded)
+    problem = gen_general(8, np.random.default_rng(8))
+    result = enumerate_solutions(problem, tol=_tolerance(None, problem), cap=problem.n)
+    seen = np.concatenate(seen)
+    assert seen.all()
+    assert 0 < seen.size < 2**8 - 1 - result.singular_masks.size
+
+
 def test_working_memory_does_not_grow_with_the_block_count():
     problem = gen_general(16, np.random.default_rng(16))
     assert (1 << problem.n) // oracle.BLOCK_SIZE >= 64
@@ -492,9 +562,9 @@ def counting_stacks(monkeypatch) -> dict:
     singular, svd = oracle._singular, oracle._smallest_singular_values
     lstsq = oracle._lstsq_consistent
 
-    def counted_singular(stack, cut):
+    def counted_singular(stack):
         rows["singular"] += stack.shape[0]
-        return singular(stack, cut)
+        return singular(stack)
 
     def counted_svd(stack):
         rows["svd"] += stack.shape[0]
@@ -542,9 +612,9 @@ def recording_calls(monkeypatch) -> list:
         calls.append((masks.copy(), []))
         return block_outcomes(problem, masks, tol)
 
-    def recorded_singular(stack, cut):
+    def recorded_singular(stack):
         calls[-1][1].append(stack.shape[:2])
-        return singular(stack, cut)
+        return singular(stack)
 
     monkeypatch.setattr(oracle, "_block_outcomes", recorded_blocks)
     monkeypatch.setattr(oracle, "_singular", recorded_singular)
@@ -638,9 +708,9 @@ def test_a_negated_pair_beyond_the_threshold_is_singular_and_inconsistent(
         q_s[b, j] = -q_s[b, i] + sign * excess * pair_threshold(rest)
         assert abs(q_s[b, i] + q_s[b, j]) > pair_threshold(q_s[b])
 
-    cut = oracle.SINGULARITY_RTOL * np.abs(stack).sum(axis=2).max(axis=1)
+    cut = loop_cut(stack)
     assert (oracle._smallest_singular_values(stack) <= cut).all()
-    assert oracle._singular(stack, cut).all()
+    assert oracle._singular(stack).all()
     assert not oracle._lstsq_consistent(stack, q_s).any()
 
 
