@@ -33,15 +33,22 @@ __all__ = [
 ]
 
 
+def _block_index(j) -> int:
+    """``j`` as a block index: an int or NumPy integer, never a bool, float or string."""
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+        raise TypeError(f"j must be an integer, got {j!r}")
+    return int(j)
+
+
 @dataclass(frozen=True, eq=False)
 class CascadeBlock:
     """One stage: compliance K, gap offsets (q1, q2), couplings to earlier blocks.
 
     couplings is a sequence of (j, Ktilde) pairs, j the 0-based position of an
-    earlier block and Ktilde of shape (n_i, n_j).  K must be symmetric positive
-    definite and the wall clearance (q1 + q2) / 2, as the block's stage
-    computes it, finite and strictly positive; both are enforced at
-    construction.
+    earlier block (an int or NumPy integer, never a bool or float) and Ktilde
+    of shape (n_i, n_j).  K must be symmetric positive definite and the wall
+    clearance (q1 + q2) / 2, as the block's stage computes it, finite and
+    strictly positive; all are enforced at construction.
     """
 
     K: np.ndarray
@@ -69,7 +76,7 @@ class CascadeBlock:
         normalized = []
         seen = set()
         for j, ktilde in self.couplings:
-            j = int(j)
+            j = _block_index(j)
             if j in seen:
                 raise InvariantViolation(f"duplicate coupling to block {j}")
             seen.add(j)

@@ -83,7 +83,7 @@ def _structure(pf: fileio.ProblemFile):
 
 def _tolerance(tol: float | None, lcp) -> float:
     """--tol if given, else the default of every command: 1e-8 * max|q|."""
-    return tol if tol is not None else 1e-8 * float(np.abs(lcp.q).max())
+    return tol if tol is not None else 1e-8 * lcp.max_abs_q
 
 
 def _tol(text: str) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beam import BeamConfig, PointLoad, Stabilizer
-from .cascade import CascadeBlock, CascadeProblem
+from .cascade import CascadeBlock, CascadeProblem, _block_index
 from .contact import ContactLcp
 from .dense import as_vector
 from .errors import LcpError, SchemaError
@@ -77,10 +77,8 @@ def _build(ctor, where: str, *args, **kwargs):
 
 
 def _coupling(j, Ktilde) -> tuple:
-    """A coupling record; CascadeBlock would round j with int(), so the file takes only ints."""
-    if type(j) is not int:
-        raise TypeError(f"j must be an integer, got {j!r}")
-    return j, Ktilde
+    """A coupling record, checked here so that a bad ``j`` names its ``couplings[k]`` field."""
+    return _block_index(j), Ktilde
 
 
 _BLOCK = (CascadeBlock, ("K", "q1", "q2", ("couplings", (_coupling, ("j", "Ktilde")), False)))

@@ -51,6 +51,11 @@ class LcpProblem:
         """The largest row sum of ``|M|``, computed once: ``M`` is read-only."""
         return float(np.abs(self.M).sum(axis=1).max(initial=0.0))
 
+    @cached_property
+    def max_abs_q(self) -> float:
+        """``max|q|``, computed once: the scale of every tolerance of the problem."""
+        return float(np.abs(self.q).max(initial=0.0))
+
 
 @dataclass(frozen=True, eq=False)
 class LcpSolution:
@@ -105,8 +110,7 @@ def w_rounding(problem: LcpProblem, z: np.ndarray):
 
     ``r`` is :attr:`LcpProblem.max_row_sum`; ``z`` is one point or a stack of them.
     """
-    size = float(np.abs(problem.q).max(initial=0.0))
-    size += problem.max_row_sum * np.abs(z).max(axis=-1, initial=0.0)
+    size = problem.max_abs_q + problem.max_row_sum * np.abs(z).max(axis=-1, initial=0.0)
     return (problem.n + 1) * np.finfo(np.float64).eps * size
 
 
@@ -124,7 +128,7 @@ def validate(problem: LcpProblem, z, tol: float) -> ValidationReport:
     comp_gap = float(zv @ w)
     rounding = float(w_rounding(problem, zv))
     w_tol = tol + rounding
-    gap_tol = tol * (float(np.abs(problem.q).max(initial=0.0)) + float(np.abs(zv).max(initial=0.0)))
+    gap_tol = tol * (problem.max_abs_q + float(np.abs(zv).max(initial=0.0)))
     gap_tol += rounding * float(np.abs(zv).sum())
     feasible = min_z >= -tol and min_w >= -w_tol
     solved = feasible and abs(comp_gap) <= gap_tol

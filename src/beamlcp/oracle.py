@@ -16,22 +16,23 @@ one stack per size and chunk unless it would hold more than
 solve (the nonsingular supports) and one stacked SVD of the singular ones
 (the consistency test).  The singularity test makes one pass over
 ``|M_SS|`` and its row sums, which give both the cut and a row diagonal
-dominance margin (J. M. Varah, Linear Algebra Appl. 11, 1975).  It clears
-a support without its SVD when a bound proves ``sigma_min`` above twice
-the cut: first the margin, then the norm of a stacked inverse of the
-supports that the margin left.  Only the rest reach a stacked SVD, against
-the cut a per-support loop takes, so the split is the SVD's, and each
-stacked call runs the LAPACK routine of that loop: the split and the
-solved points are bit-identical to it.  The consistency test forms
-``lstsq``'s minimum-norm solution from the SVD.  A solved point with an
-entry below ``-tol`` is dropped at once, as :func:`validate` would drop
-it; the rest are scattered to full length, and a vectorized screen drops
-every point that :func:`validate` would certainly reject.  Only the
-survivors and the family points are validated and deduplicated, one by
-one in ascending mask order.  Singular supports are kept as two arrays,
-their bitmasks in ascending order and a consistency flag each, with no
-object per support; ``EnumerationResult.singular_supports`` builds
-:class:`SingularSupport` records from them only when it is read.
+dominance margin (J. M. Varah, Linear Algebra Appl. 11, 1975), and carries
+one index array of undecided supports through three tiers.  The margin,
+then the norm of a stacked inverse of what the margin left, clear a support
+when they prove ``sigma_min`` above twice the cut; what both left goes to
+one stacked SVD, against the cut a per-support loop takes.  So the split is
+the SVD's, and each stacked call runs the LAPACK routine of that loop: the
+split and the solved points are bit-identical to it.  The consistency test
+forms ``lstsq``'s minimum-norm solution from the SVD.  A solved point with
+an entry below ``-tol`` is dropped at once, as :func:`validate` would drop
+it; the rest are scattered to full length, where the zeros off the support
+pass that test too, and a vectorized screen of ``w`` alone drops every
+point that :func:`validate` would certainly reject.  Only the survivors and
+the family points are validated and deduplicated, one by one in ascending
+mask order.  Singular supports are kept as two arrays, their bitmasks in
+ascending order and a consistency flag each, with no object per support;
+``EnumerationResult.singular_supports`` builds :class:`SingularSupport`
+records from them only when it is read.
 
 One exact rule settles many supports without LAPACK.  When rows ``i`` and
 ``j`` of ``M`` are exact negatives, every support holding both is exactly
@@ -47,8 +48,9 @@ A consistent singular support needs no LP solver: :func:`_family_points`
 solves the bases of its family's feasible part in stacked NumPy calls and
 returns at most two points, one when that part is a single point.  Such
 supports occur on singular PSD problems, and on paired problems whose
-``q_i + q_j`` vanishes.  The thresholds are relative to ``max|q|``, so
-scaling ``q`` by a power of two leaves each decision as it was.
+``q_i + q_j`` vanishes.  The thresholds are relative to ``max|q|``
+(:attr:`LcpProblem.max_abs_q`), so scaling ``q`` by a power of two leaves
+each decision as it was.
 
 Nothing here is shared with the pivoting or active-set solvers, and the
 module needs NumPy alone.
@@ -152,45 +154,40 @@ def _smallest_singular_values(stack: np.ndarray) -> np.ndarray:
 def _singular(stack: np.ndarray) -> np.ndarray:
     """Whether each matrix of a (B, k, k) stack is singular, as its SVD decides.
 
-    The SVD's cut is ``SINGULARITY_RTOL`` times the largest absolute row sum, and a
-    matrix is singular when ``sigma_min <= cut``.  Two bounds prove ``sigma_min`` above
-    twice the cut, far beyond rounding, through ``sigma_min >= 1 / (sqrt(k) ||inv||_inf)``,
-    and a matrix that either one clears never reaches the SVD.  The first needs no
-    inverse: the row dominance margin ``min_i(2|a_ii| - sum_j |a_ij|)`` is below
-    ``1 / ||inv||_inf`` (J. M. Varah, "A lower bound for the smallest singular value of a
-    matrix", Linear Algebra Appl. 11, 1975), so a margin above ``2 sqrt(k) cut`` clears
-    the matrix.  The matrices it leaves are inverted, and ``2 sqrt(k) ||inv||_inf cut < 1``
-    clears them.  Both bounds take the cut from the row sums of ``|a|`` that the margin
-    uses.  These ``einsum`` sums may differ from ``np.sum``'s in the last bits, by at most
-    ``k eps`` relative since the terms are nonnegative, so a matrix cleared at twice this
-    cut still has ``sigma_min`` above the loop's.  Only the matrices that reach the SVD
-    take the cut from ``np.sum``'s row sums, as a per-support loop does.
+    The SVD's cut is ``SINGULARITY_RTOL`` times the largest absolute row sum, and a matrix
+    is singular when ``sigma_min <= cut``.  Two bounds prove ``sigma_min`` above twice the
+    cut, far beyond rounding, through ``sigma_min >= 1 / (sqrt(k) ||inv||_inf)``, and a
+    matrix that either one clears never reaches the SVD.  The first needs no inverse: the
+    row dominance margin ``min_i(2|a_ii| - sum_j |a_ij|)`` is below ``1 / ||inv||_inf``
+    (J. M. Varah, "A lower bound for the smallest singular value of a matrix", Linear
+    Algebra Appl. 11, 1975), so a margin above ``2 sqrt(k) cut`` clears the matrix.  The
+    matrices it leaves are inverted, and ``2 sqrt(k) ||inv||_inf cut < 1`` clears them.
+    Both bounds take the cut from the row sums of ``|a|`` that the margin uses.  These
+    ``einsum`` sums may differ from ``np.sum``'s in the last bits, by at most ``k eps``
+    relative since the terms are nonnegative, so a matrix cleared at twice this cut still
+    has ``sigma_min`` above the loop's.  One index array, ``rest``, carries the undecided
+    matrices from the margin to the inverse (an exactly zero LU pivot leaves it as it is)
+    to one SVD call, whose cut comes from ``np.sum``'s row sums, as a per-support loop
+    takes it.  A tier runs only on a nonempty ``rest``.
     """
     k = stack.shape[-1]
     absolute = np.abs(stack)
     sums = np.einsum("bij->bi", absolute)
     bound = (2.0 * k**0.5 * SINGULARITY_RTOL) * sums.max(axis=1)
     diagonal = absolute.diagonal(0, 1, 2)
-    singular = (sums - diagonal >= diagonal - bound[:, None]).any(axis=1)  # what the margin left
-    left = np.count_nonzero(singular)
-    if not left:
-        return singular
-    rest = slice(None) if left == singular.size else np.flatnonzero(singular)
-    try:
-        inverse = np.abs(np.linalg.inv(stack[rest]))
-    except np.linalg.LinAlgError:  # an exactly zero LU pivot: the SVD decides the rest
-        singular[rest] = _svd_singular(stack[rest], absolute[rest])
-        return singular
-    with np.errstate(over="ignore"):  # an overflow gives inf, which goes to the SVD
-        singular[rest] = ~(np.einsum("bij->bi", inverse) * bound[rest, None] < 1.0).all(axis=1)
-    if singular.any():  # so far, the matrices neither bound cleared
-        singular[singular] = _svd_singular(stack[singular], absolute[singular])
+    rest = (sums - diagonal >= diagonal - bound[:, None]).any(axis=1).nonzero()[0]
+    singular = np.zeros(stack.shape[0], dtype=bool)
+    if rest.size:  # what the margin left
+        try:
+            inverse = np.abs(np.linalg.inv(stack[rest]))
+            with np.errstate(over="ignore"):  # an overflow gives inf, which goes to the SVD
+                rest = rest[~(np.einsum("bij->bi", inverse) * bound[rest, None] < 1.0).all(axis=1)]
+        except np.linalg.LinAlgError:  # an exactly zero LU pivot: the SVD decides all of rest
+            pass
+    if rest.size:  # what both bounds left
+        cut = SINGULARITY_RTOL * absolute[rest].sum(axis=2).max(axis=1)
+        singular[rest] = _smallest_singular_values(stack[rest]) <= cut
     return singular
-
-
-def _svd_singular(stack: np.ndarray, absolute: np.ndarray) -> np.ndarray:
-    """``sigma_min <= SINGULARITY_RTOL * max row sum`` per matrix, ``absolute`` being ``|stack|``."""
-    return _smallest_singular_values(stack) <= SINGULARITY_RTOL * absolute.sum(axis=2).max(axis=1)
 
 
 def _lstsq_consistent(stack: np.ndarray, q_s: np.ndarray) -> np.ndarray:
@@ -284,7 +281,7 @@ def _family_points(problem: LcpProblem, idx: np.ndarray, tol: float) -> list[np.
     rank = int((s > SINGULARITY_RTOL * s[0]).sum())
     rows = sorted([*idx[_independent_rows(mss, rank)], *np.flatnonzero(~on)])
     a = np.where(on, problem.M, -np.eye(n))
-    basic = _basic_solutions(a, -q, rows, tol, CONSISTENCY_RTOL * float(np.abs(q).max()))
+    basic = _basic_solutions(a, -q, rows, tol, CONSISTENCY_RTOL * problem.max_abs_q)
     z = np.where(on, np.vstack([np.empty((0, n)), *basic]), 0.0)
     if not len(z):
         return []
@@ -304,13 +301,13 @@ def _family_points(problem: LcpProblem, idx: np.ndarray, tol: float) -> list[np.
 def _screen(problem: LcpProblem, z: np.ndarray, tol: float) -> np.ndarray:
     """Rows of the (B, n) stack ``z`` that :func:`validate` could accept.
 
-    ``z >= -tol`` is tested exactly.  ``w`` comes from one product for the whole stack; it
-    and ``validate``'s own are each within :func:`w_rounding` of the exact ``w``, which
-    ``validate`` allows again, so a slack of four times it loses no acceptable point.
+    Every row already has ``z >= -tol``, so only ``w`` is tested.  It comes from one product
+    for the stack; it and ``validate``'s own are each within :func:`w_rounding` of the exact
+    ``w``, which ``validate`` allows again, so a slack of four times it loses no good point.
     """
     w = problem.q + z @ problem.M.T
     slack = 4.0 * w_rounding(problem, z)
-    return (z >= -tol).all(axis=1) & (w >= -(tol + slack)[:, None]).all(axis=1)
+    return (w >= -(tol + slack)[:, None]).all(axis=1)
 
 
 def _negated_pairs(problem: LcpProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +319,7 @@ def _negated_pairs(problem: LcpProblem) -> tuple[np.ndarray, np.ndarray]:
     """
     m, q = problem.M, problem.q
     negated = np.triu((m[:, None, :] == -m[None, :, :]).all(axis=2), k=1)
-    threshold = PAIR_MARGIN * CONSISTENCY_RTOL * float(np.abs(q).max(initial=0.0))
+    threshold = PAIR_MARGIN * CONSISTENCY_RTOL * problem.max_abs_q
     far = np.abs(q[:, None] + q[None, :]) > threshold
     return np.nonzero(negated & far)
 
@@ -339,9 +336,11 @@ def _block_outcomes(
     each consistent singular one.  ``masks`` are ascending and nonzero, and
     none holds a pair of :func:`_negated_pairs`.  The supports of one size
     share one singularity test, solve and screen, split only where their
-    matrices would hold more than ``16 * BLOCK_SIZE`` entries.  Only the
-    solved points with no entry below ``-tol`` are scattered and screened:
-    that is the screen's own ``z`` test, since the zeros off the support pass.
+    matrices would hold more than ``16 * BLOCK_SIZE`` entries, and each
+    stack is split by index into its singular and nonsingular supports.
+    Only the solved points with no entry below ``-tol`` are scattered and
+    screened: that is :func:`validate`'s ``z`` test, which the zeros off the
+    support pass, so the screen tests ``w`` alone.
     """
     n = problem.n
     flat = problem.M.ravel()
@@ -360,16 +359,15 @@ def _block_outcomes(
             q_s = problem.q[idx]
             sing = _singular(mss)
             if sing.any():
-                singular[rows[sing]] = True
-                ok = _lstsq_consistent(mss[sing], q_s[sing])
-                consistent[rows[sing]] = ok
-                for j in np.flatnonzero(sing)[ok].tolist():
+                bad, good = np.flatnonzero(sing), np.flatnonzero(~sing)
+                singular[rows[bad]] = True
+                ok = _lstsq_consistent(mss[bad], q_s[bad])
+                consistent[rows[bad]] = ok
+                for j in bad[ok].tolist():
                     found.append((rows[j], _family_points(problem, idx[j], tol)))
-                if sing.all():
-                    continue
-                rows, idx, mss, q_s = rows[~sing], idx[~sing], mss[~sing], q_s[~sing]
+                rows, idx, mss, q_s = rows[good], idx[good], mss[good], q_s[good]
             sol = np.linalg.solve(mss, -q_s[..., None])[..., 0]
-            signed = (sol >= -tol).all(axis=1).nonzero()[0]  # _screen's own z test, on S
+            signed = (sol >= -tol).all(axis=1).nonzero()[0]  # validate's z test, on S
             if not signed.size:
                 continue
             rows, idx = rows[signed], idx[signed]

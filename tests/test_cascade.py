@@ -41,6 +41,16 @@ def test_block_rejects_duplicate_coupling_targets():
         )
 
 
+def test_block_takes_only_integer_coupling_indices():
+    args = (np.eye(1), np.array([0.0]), np.array([1.0]))
+    for j in (0.9, 1.5, True, False, "0", None):
+        with pytest.raises(TypeError, match="j must be an integer"):
+            CascadeBlock(*args, ((j, np.eye(1)),))
+    for j in (1, np.int64(1), np.intp(1)):
+        (got, _), = CascadeBlock(*args, ((j, np.eye(1)),)).couplings
+        assert type(got) is int and got == 1
+
+
 def test_problem_rejects_forward_couplings():
     blocks = (
         CascadeBlock(np.eye(1), np.array([0.0]), np.array([1.0])),

@@ -205,7 +205,7 @@ _COUPLED = "payload.blocks[1].couplings[0]"
         ("cascade", {"blocks": [_BLOCK, {**_BLOCK, "couplings": [_INF_J]}]}, _COUPLED, "integer"),
         ("report", {"z": ["a", 1, 2, 3]}, "report.z", "finite numbers"),
         ("report", {"z": [1.0, [2.0, 3.0]]}, "report.z", "finite numbers"),
-        # CascadeBlock rounds j with int(), so the file format rejects a j that is not an integer.
+        # A j that is not an integer is rejected at the coupling, not at its block.
         ("cascade", {"blocks": [_BLOCK, {**_BLOCK, "couplings": [{**_INF_J, "j": 1.5}]}]},
          _COUPLED, "got 1.5"),
         ("cascade", {"blocks": [_BLOCK, {**_BLOCK, "couplings": [{**_INF_J, "j": True}]}]},

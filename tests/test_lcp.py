@@ -143,7 +143,7 @@ def test_validate_is_consistent_with_its_parts(seed, n):
 
 
 def test_max_row_sum_is_cached_and_leaves_validate_unchanged(monkeypatch):
-    """The cached bound is the formula ``w_rounding`` used per call; reports keep every field."""
+    """The cached scales equal their formulas; ``validate``'s reports keep every field."""
     rng = np.random.default_rng(21)
     problems = [
         LcpProblem(np.zeros((0, 0)), np.zeros(0)),
@@ -157,6 +157,8 @@ def test_max_row_sum_is_cached_and_leaves_validate_unchanged(monkeypatch):
     for p in problems:
         assert p.max_row_sum == float(np.abs(p.M).sum(axis=1).max(initial=0.0))
         assert p.__dict__["max_row_sum"] is p.max_row_sum
+        assert p.max_abs_q == float(np.abs(p.q).max(initial=0.0))
+        assert p.__dict__["max_abs_q"] is p.max_abs_q
         tol = 1e-8 * float(np.abs(p.q).max(initial=1.0))
         z_star = certify_unique(p, tol=tol, cap=p.n).z if p.n else None
         for z in (np.zeros(p.n), rng.uniform(-1.0, 2.0, p.n), z_star):
