@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import ContactLcp
+from .contact import ContactLcp, _contact_lcp
 from .dense import as_matrix, as_vector
 from .errors import DuplicatePositions, InvariantViolation, OutOfDomain
 
@@ -64,25 +64,25 @@ class BeamConfig:
             raise InvariantViolation(f"length must be positive, got {self.length}")
         if not (self.ei > 0.0 and np.isfinite(self.ei)):
             raise InvariantViolation(f"ei must be positive, got {self.ei}")
+        length = self.length
         stabilizers = tuple(
-            s if isinstance(s, Stabilizer) else Stabilizer(*s) for s in self.stabilizers
+            [s if isinstance(s, Stabilizer) else Stabilizer(*s) for s in self.stabilizers]
         )
-        loads = tuple(p if isinstance(p, PointLoad) else PointLoad(*p) for p in self.loads)
-        for s in stabilizers:
-            if not 0.0 < s.position < self.length:
-                raise OutOfDomain(
-                    f"stabilizer position {s.position} outside (0, {self.length})"
-                )
+        loads = tuple([p if isinstance(p, PointLoad) else PointLoad(*p) for p in self.loads])
+        positions = [s.position for s in stabilizers]
+        for x, s in zip(positions, stabilizers):
+            if not 0.0 < x < length:
+                raise OutOfDomain(f"stabilizer position {x} outside (0, {length})")
             if not s.gap > 0.0:
                 raise InvariantViolation(f"stabilizer gap must be positive, got {s.gap}")
-        for prev, nxt in zip(stabilizers, stabilizers[1:]):
-            if nxt.position == prev.position:
-                raise DuplicatePositions(f"duplicate stabilizer position {nxt.position}")
-            if nxt.position < prev.position:
+        for prev, nxt in zip(positions, positions[1:]):
+            if nxt == prev:
+                raise DuplicatePositions(f"duplicate stabilizer position {nxt}")
+            if nxt < prev:
                 raise InvariantViolation("stabilizer positions must be strictly increasing")
         for p in loads:
-            if not 0.0 < p.position < self.length:
-                raise OutOfDomain(f"load position {p.position} outside (0, {self.length})")
+            if not 0.0 < p.position < length:
+                raise OutOfDomain(f"load position {p.position} outside (0, {length})")
             if not np.isfinite(p.magnitude):
                 raise InvariantViolation("load magnitude must be finite")
         object.__setattr__(self, "stabilizers", stabilizers)
@@ -138,5 +138,5 @@ def load_vector(cfg: BeamConfig) -> np.ndarray:
 
 def to_contact_lcp(cfg: BeamConfig) -> ContactLcp:
     """Contact model at the stabilizers: K from flexibility, y* from the gaps."""
-    gaps = np.array([s.gap for s in cfg.stabilizers])
-    return ContactLcp(flexibility_matrix(cfg), load_vector(cfg), gaps)
+    K, q_tilde = flexibility_matrix(cfg), load_vector(cfg)
+    return _contact_lcp(K, q_tilde, as_vector([s.gap for s in cfg.stabilizers], "y_star"))

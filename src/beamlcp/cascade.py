@@ -17,8 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import ContactLcp, ContactSolution, _put_two_wall_block, solve_structured
-from .dense import as_matrix, as_vector, spd_factor
+from .contact import (
+    ContactLcp,
+    ContactSolution,
+    _check_offsets,
+    _put_two_wall_block,
+    solve_structured,
+)
+from .dense import _trusted, as_matrix, as_vector, spd_factor
 from .errors import DimensionMismatch, InvariantViolation, NumericalBreakdown
 from .lcp import LcpProblem, LcpSolution
 
@@ -140,6 +146,8 @@ def cascade_stages(p: CascadeProblem) -> list[CascadeStage]:
     still round away from q1 + q2, so the stage is built from the block's
     fixed clearance y* = (q1 + q2) / 2 and the offset q_hat1 - y*: its gaps
     then keep gamma_l + gamma_u = 2 y* = q1 + q2 exact in floating point.
+    The stage reuses the block's K, which the block checked and factored,
+    and checks only the shifted offsets.
 
     Raises:
         NumericalBreakdown: earlier blocks' forces shift a block's offsets
@@ -151,16 +159,18 @@ def cascade_stages(p: CascadeProblem) -> list[CascadeStage]:
         gap_sum = blk.q1 + blk.q2
         y_star = 0.5 * gap_sum
         shift = np.zeros(blk.n)
-        with np.errstate(over="ignore", invalid="ignore"):  # ContactLcp rejects non-finite offsets
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite offsets are rejected below
             for j, ktilde in blk.couplings:
                 shift += ktilde @ net_forces[j]
             q_hat1 = blk.q1 + shift
             q_hat2 = gap_sum - q_hat1
             q_tilde = q_hat1 - y_star
         try:
-            contact = ContactLcp(blk.K, q_tilde, y_star)
+            q_tilde = as_vector(q_tilde, "q_tilde")
+            _check_offsets(q_tilde, y_star)
         except (ValueError, InvariantViolation) as exc:
             raise NumericalBreakdown(f"block {i}: the coupling shift overflows: {exc}") from exc
+        contact = _trusted(ContactLcp, blk.K, q_tilde, y_star)
         sol = solve_structured(contact)
         net_forces.append(sol.d)
         stages.append(CascadeStage(contact, sol, q_hat1, q_hat2))
@@ -181,7 +191,7 @@ def assemble_full(p: CascadeProblem) -> LcpProblem:
         for j, ktilde in blk.couplings:
             _put_two_wall_block(M, o, offsets[j], ktilde)
     q = np.concatenate([v for blk in p.blocks for v in (blk.q1, blk.q2)])
-    return LcpProblem(M, q)
+    return _trusted(LcpProblem, M, q)  # the blocks checked K, Ktilde, q1 and q2
 
 
 def as_lcp_solution(p: CascadeProblem, solutions: list[ContactSolution]) -> LcpSolution:
@@ -191,4 +201,5 @@ def as_lcp_solution(p: CascadeProblem, solutions: list[ContactSolution]) -> LcpS
     blocks = [s.as_lcp_solution() for s in solutions]
     z = np.concatenate([b.z for b in blocks])
     w = np.concatenate([b.w for b in blocks])
-    return LcpSolution(z, w, float(z @ w), "cascade", sum(b.iterations for b in blocks))
+    iterations = sum(b.iterations for b in blocks)
+    return _trusted(LcpSolution, z, w, float(z @ w), "cascade", iterations)

@@ -34,8 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import as_matrix, as_vector, spd_factor
-from .errors import DimensionMismatch, InvariantViolation, MaxIterationsExceeded
+from .dense import _trusted, as_matrix, as_vector, spd_factor
+from .errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    MaxIterationsExceeded,
+    NumericalBreakdown,
+)
 from .lcp import LcpProblem, LcpSolution, w_rounding
 
 __all__ = [
@@ -73,28 +78,45 @@ class ContactLcp:
         object.__setattr__(self, "K", as_matrix(self.K, "K"))
         object.__setattr__(self, "q_tilde", as_vector(self.q_tilde, "q_tilde"))
         object.__setattr__(self, "y_star", as_vector(self.y_star, "y_star"))
-        n = self.K.shape[0]
-        if self.K.shape[1] != n:
-            raise DimensionMismatch(f"K must be square, got shape {self.K.shape}")
-        if self.q_tilde.shape[0] != n or self.y_star.shape[0] != n:
-            raise DimensionMismatch(
-                f"K is {n}x{n} but q_tilde has length {self.q_tilde.shape[0]} "
-                f"and y_star has length {self.y_star.shape[0]}"
-            )
-        if n == 0 or np.any(self.y_star <= 0.0):
-            raise InvariantViolation("y_star must be strictly positive (n >= 1)")
-        with np.errstate(over="ignore"):  # an overflow is rejected just below
-            q, y = self.q_tilde, self.y_star
-            data = np.concatenate([q + y, y - q, 2.0 * y])
-        if not np.isfinite(data).all():
-            raise InvariantViolation(
-                "q_tilde + y_star, y_star - q_tilde and 2 y_star must be finite"
-            )
-        spd_factor(self.K)
+        _check_contact(self.K, self.q_tilde, self.y_star)
 
     @property
     def n(self) -> int:
         return self.y_star.shape[0]
+
+
+def _check_contact(K: np.ndarray, q_tilde: np.ndarray, y_star: np.ndarray) -> None:
+    """ContactLcp's checks after as_matrix/as_vector.
+
+    Shapes, y* > 0, finite solver data, and K positive definite: the one
+    factorization of K.
+    """
+    n = K.shape[0]
+    if K.shape[1] != n:
+        raise DimensionMismatch(f"K must be square, got shape {K.shape}")
+    if q_tilde.shape[0] != n or y_star.shape[0] != n:
+        raise DimensionMismatch(
+            f"K is {n}x{n} but q_tilde has length {q_tilde.shape[0]} "
+            f"and y_star has length {y_star.shape[0]}"
+        )
+    if n == 0 or (y_star <= 0.0).any():
+        raise InvariantViolation("y_star must be strictly positive (n >= 1)")
+    _check_offsets(q_tilde, y_star)
+    spd_factor(K)
+
+
+def _check_offsets(q_tilde: np.ndarray, y_star: np.ndarray) -> None:
+    """Require the solver data q_tilde + y_star, y_star - q_tilde and 2 y_star to be finite."""
+    with np.errstate(over="ignore"):  # an overflow is rejected just below
+        data = np.concatenate([q_tilde + y_star, y_star - q_tilde, 2.0 * y_star])
+    if not np.isfinite(data).all():
+        raise InvariantViolation("q_tilde + y_star, y_star - q_tilde and 2 y_star must be finite")
+
+
+def _contact_lcp(K: np.ndarray, q_tilde: np.ndarray, y_star: np.ndarray) -> ContactLcp:
+    """The ContactLcp of arrays already made by as_matrix/as_vector, checked once."""
+    _check_contact(K, q_tilde, y_star)
+    return _trusted(ContactLcp, K, q_tilde, y_star)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +145,7 @@ class ContactSolution:
     def as_lcp_solution(self) -> LcpSolution:
         z = np.concatenate([self.F_l, self.F_u])
         w = np.concatenate([self.gamma_l, self.gamma_u])
-        return LcpSolution(z, w, float(z @ w), self.solver_tag, self.sweeps)
+        return _trusted(LcpSolution, z, w, float(z @ w), self.solver_tag, self.sweeps)
 
 
 @dataclass(frozen=True)
@@ -152,7 +174,7 @@ def assemble(c: ContactLcp) -> LcpProblem:
     M = np.empty((2 * c.n, 2 * c.n))
     _put_two_wall_block(M, 0, 0, c.K)
     q = np.concatenate([c.q_tilde + c.y_star, -c.q_tilde + c.y_star])
-    return LcpProblem(M, q)
+    return _trusted(LcpProblem, M, q)  # K and q_tilde +- y_star were checked finite
 
 
 def split_signed(d) -> tuple[np.ndarray, np.ndarray]:
@@ -170,9 +192,12 @@ def gaps(c: ContactLcp, d) -> tuple[np.ndarray, np.ndarray]:
     dv = as_vector(d, "d")
     if dv.shape[0] != c.n:
         raise DimensionMismatch(f"K is {c.n}x{c.n} but d has length {dv.shape[0]}")
-    gamma_l = c.K @ dv + c.q_tilde + c.y_star
-    gamma_u = 2.0 * c.y_star - gamma_l
-    return gamma_l, gamma_u
+    return _gaps(c, dv)
+
+
+def _gaps(c: ContactLcp, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    gamma_l = c.K @ d + c.q_tilde + c.y_star
+    return gamma_l, 2.0 * c.y_star - gamma_l
 
 
 def feasible_point(c: ContactLcp) -> LcpSolution:
@@ -194,8 +219,9 @@ def _residual(K, c, two_y, d) -> float:
     d_i < 0, and the distance to the interval [g_i - 2 y*_i, g_i] where d_i = 0.
     """
     g = K @ d + c
-    lo = np.where(d > 0.0, g, g - two_y)
-    hi = np.where(d < 0.0, g - two_y, g)
+    upper = g - two_y
+    lo = np.where(d > 0.0, g, upper)
+    hi = np.where(d < 0.0, upper, g)
     return float(np.maximum(np.maximum(lo, -hi), 0.0).max())
 
 
@@ -212,24 +238,30 @@ def _active_set(K, c, two_y, tol: float, max_solves: int) -> tuple[np.ndarray, i
     n = c.shape[0]
     d = np.zeros(n)
     sign = np.zeros(n)
+    rhs = np.empty(n)  # t_i - c_i, set when index i joins P
     solves = 0
     while solves < max_solves:
         g = K @ d + c
-        outside = np.where(sign == 0.0, np.maximum(-g, g - two_y), 0.0)
+        outside = np.maximum(-g, g - two_y)
+        outside[sign != 0.0] = 0.0
         j = int(outside.argmax())
         if outside[j] <= tol:
             break
-        sign[j] = 1.0 if g[j] < 0.0 else -1.0
+        if g[j] < 0.0:
+            sign[j], rhs[j] = 1.0, 0.0 - c[j]
+        else:
+            sign[j], rhs[j] = -1.0, two_y[j] - c[j]
         while solves < max_solves:
-            P = np.flatnonzero(sign)
+            P = sign.nonzero()[0]
             s = sign[P]
-            z = np.linalg.solve(K[np.ix_(P, P)], np.where(s > 0.0, 0.0, two_y[P]) - c[P])
+            z = np.linalg.solve(K.take(P, 0).take(P, 1), rhs[P])
             solves += 1
-            if np.all(s * z > 0.0):
+            sz = s * z
+            if (sz > 0.0).all():
                 d[P] = z
                 break
             dP = d[P]
-            ratio = np.where(s * z <= 0.0, dP / np.where(dP == z, 1.0, dP - z), np.inf)
+            ratio = np.where(sz <= 0.0, dP / np.where(dP == z, 1.0, dP - z), np.inf)
             alpha = ratio.min()
             dP += alpha * (z - dP)
             dP[(ratio <= alpha) | (s * dP <= 0.0)] = 0.0
@@ -247,13 +279,16 @@ def solve_structured(c: ContactLcp, options: PgsOptions | None = None) -> Contac
     Raises:
         MaxIterationsExceeded: ``MAX_SOLVES_PER_DIM * n`` solves did not reach
             the tolerance plus that rounding; the exception carries the last iterate.
+        NumericalBreakdown: the forces or the gaps of the solution overflow.
     """
     opts = options or PgsOptions()
     cvec = c.q_tilde + c.y_star
     two_y = 2.0 * c.y_star
-    tol = opts.tol_scale * float(np.abs(np.concatenate([cvec, two_y - cvec])).max())
+    tol = opts.tol_scale * float(max(np.abs(cvec).max(), np.abs(two_y - cvec).max()))
 
     d, solves = _active_set(c.K, cvec, two_y, tol, MAX_SOLVES_PER_DIM * c.n)
+    if not np.isfinite(d).all():
+        raise NumericalBreakdown(f"the net forces overflow in {solves} solves")
     residual = _residual(c.K, cvec, two_y, d)
     if residual > tol:
         tol += float(w_rounding(assemble(c), np.concatenate(split_signed(d))))
@@ -264,9 +299,11 @@ def solve_structured(c: ContactLcp, options: PgsOptions | None = None) -> Contac
             residual=residual,
         )
 
+    gamma_l, gamma_u = _gaps(c, d)
+    if not np.isfinite(gamma_u).all():  # gamma_u is not finite where gamma_l is not
+        raise NumericalBreakdown(f"the wall gaps overflow in {solves} solves")
     F_l, F_u = split_signed(d)
-    gamma_l, gamma_u = gaps(c, d)
-    return ContactSolution(F_l, F_u, gamma_l, gamma_u, d, sweeps=solves, solver_tag="pgs")
+    return _trusted(ContactSolution, F_l, F_u, gamma_l, gamma_u, d, solves, "pgs")
 
 
 def force_complementarity(sol: ContactSolution) -> float:

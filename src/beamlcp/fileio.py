@@ -51,12 +51,11 @@ def _require(mapping, key: str, where: str):
     return mapping[key]
 
 
-def _reject_unknown(mapping, allowed: set, where: str):
+def _reject_unknown(mapping, allowed, where: str):
     if not isinstance(mapping, dict):
         raise SchemaError(f"expected an object, got {type(mapping).__name__}", field=where)
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise SchemaError(f"unknown fields {sorted(unknown)}", field=where)
+    if not mapping.keys() <= allowed:
+        raise SchemaError(f"unknown fields {sorted(set(mapping) - allowed)}", field=where)
 
 
 def _array(mapping: dict, key: str, where: str, required: bool = True) -> list:
@@ -67,55 +66,64 @@ def _array(mapping: dict, key: str, where: str, required: bool = True) -> list:
     return value
 
 
-def _build(ctor, where: str, *args, **kwargs):
-    try:
-        return ctor(*args, **kwargs)
-    except SchemaError:
-        raise
-    except (LcpError, ValueError, TypeError, OverflowError) as exc:
-        raise SchemaError(str(exc), field=where) from exc
-
-
 def _coupling(j, Ktilde) -> tuple:
     """A coupling record, checked here so that a bad ``j`` names its ``couplings[k]`` field."""
     return _block_index(j), Ktilde
-
-
-_BLOCK = (CascadeBlock, ("K", "q1", "q2", ("couplings", (_coupling, ("j", "Ktilde")), False)))
-_STABILIZER = (Stabilizer, ("position", "gap"))
-_LOAD = (PointLoad, ("position", "magnitude"))
-
-#: Each kind's constructor and its fields in file order.  A field is a name,
-#: or (name, schema, required) for an array of records built by that schema.
-_SCHEMAS = {
-    "general": (LcpProblem, ("M", "q")),
-    "contact": (ContactLcp, ("K", "q_tilde", "y_star")),
-    "cascade": (CascadeProblem, (("blocks", _BLOCK, True),)),
-    "beam": (
-        BeamConfig, ("length", "ei", ("stabilizers", _STABILIZER, False), ("loads", _LOAD, False))
-    ),
-}
-
-KINDS = tuple(_SCHEMAS)
 
 
 def _name(f) -> str:
     return f if isinstance(f, str) else f[0]
 
 
+def _schema(ctor, *fields) -> tuple:
+    """A layout: its constructor, its fields in file order and the set of their names.
+
+    A field is a name, or (name, layout, required) for an array of records
+    built by that layout.
+    """
+    return ctor, fields, frozenset(map(_name, fields))
+
+
+_COUPLING = _schema(_coupling, "j", "Ktilde")
+_BLOCK = _schema(CascadeBlock, "K", "q1", "q2", ("couplings", _COUPLING, False))
+
+#: Each kind's layout.
+_SCHEMAS = {
+    "general": _schema(LcpProblem, "M", "q"),
+    "contact": _schema(ContactLcp, "K", "q_tilde", "y_star"),
+    "cascade": _schema(CascadeProblem, ("blocks", _BLOCK, True)),
+    "beam": _schema(
+        BeamConfig,
+        "length",
+        "ei",
+        ("stabilizers", _schema(Stabilizer, "position", "gap"), False),
+        ("loads", _schema(PointLoad, "position", "magnitude"), False),
+    ),
+}
+
+KINDS = tuple(_SCHEMAS)
+
+
 def _parse(schema, raw, where: str):
     """Check raw against schema, field by field in file order, and build its object."""
-    ctor, fields = schema
-    _reject_unknown(raw, {_name(f) for f in fields}, where)
+    ctor, fields, names = schema
+    _reject_unknown(raw, names, where)
     args = []
     for f in fields:
         if isinstance(f, str):
-            args.append(_require(raw, f, where))
+            if f not in raw:
+                raise SchemaError("missing required field", field=f"{where}.{f}")
+            args.append(raw[f])
         else:
             name, sub, required = f
             items = enumerate(_array(raw, name, where, required))
-            args.append(tuple(_parse(sub, item, f"{where}.{name}[{i}]") for i, item in items))
-    return _build(ctor, where, *args)
+            args.append(tuple([_parse(sub, item, f"{where}.{name}[{i}]") for i, item in items]))
+    try:
+        return ctor(*args)
+    except SchemaError:
+        raise
+    except (LcpError, ValueError, TypeError, OverflowError) as exc:
+        raise SchemaError(str(exc), field=where) from exc
 
 
 def _write(schema, obj) -> dict:

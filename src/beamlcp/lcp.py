@@ -97,12 +97,16 @@ class ValidationReport:
 
 def assemble_w(problem: LcpProblem, z) -> np.ndarray:
     """Return w = q + M z."""
-    zv = as_vector(z, "z")
-    if zv.shape[0] != problem.n:
+    return _w(problem, as_vector(z, "z"))
+
+
+def _w(problem: LcpProblem, z: np.ndarray) -> np.ndarray:
+    """w = q + M z for a z that as_vector made."""
+    if z.shape[0] != problem.n:
         raise DimensionMismatch(
-            f"problem has dimension {problem.n} but z has length {zv.shape[0]}"
+            f"problem has dimension {problem.n} but z has length {z.shape[0]}"
         )
-    return problem.q + problem.M @ zv
+    return problem.q + problem.M @ z
 
 
 def w_rounding(problem: LcpProblem, z: np.ndarray):
@@ -122,7 +126,7 @@ def validate(problem: LcpProblem, z, tol: float) -> ValidationReport:
     ``tol (||q||_inf + ||z||_inf) + ρ ||z||_1``.
     """
     zv = as_vector(z, "z")
-    w = assemble_w(problem, zv)
+    w = _w(problem, zv)
     min_z = float(zv.min()) if zv.size else 0.0
     min_w = float(w.min()) if w.size else 0.0
     comp_gap = float(zv @ w)
@@ -134,16 +138,15 @@ def validate(problem: LcpProblem, z, tol: float) -> ValidationReport:
     solved = feasible and abs(comp_gap) <= gap_tol
 
     violations, degenerate = [], []
-    for i in range(problem.n):
-        zi, wi = zv[i], w[i]
+    for i, (zi, wi) in enumerate(zip(zv.tolist(), w.tolist())):
         if zi < -tol:
-            violations.append((i, "z", float(-zi)))
+            violations.append((i, "z", -zi))
         if wi < -w_tol:
-            violations.append((i, "w", float(-wi)))
+            violations.append((i, "w", -wi))
         if abs(zi) <= tol and abs(wi) <= w_tol:
             degenerate.append(i)
         elif zi * wi > gap_tol:
-            violations.append((i, "zw", float(zi * wi)))
+            violations.append((i, "zw", zi * wi))
 
     return ValidationReport(
         min_z=min_z,

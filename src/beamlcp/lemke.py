@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dense import _trusted
 from .errors import NumericalBreakdown, PivotLimitExceeded, RayTermination
-from .lcp import LcpProblem, LcpSolution, assemble_w
+from .lcp import LcpProblem, LcpSolution, _w
 
 __all__ = ["lemke_solve"]
 
@@ -76,14 +77,13 @@ def lemke_solve(problem: LcpProblem) -> LcpSolution:
         PivotLimitExceeded: ``MAX_PIVOTS_PER_DIM_SQUARED * n**2`` pivots did
             not end the run.
         NumericalBreakdown: the entering column's positive entries were all
-            at most ``ZERO_TOL``.
+            at most ``ZERO_TOL``, or z or w overflows when scaled back.
     """
     n = problem.n
     q = problem.q
 
     if n == 0 or q.min() >= 0.0:
-        z = np.zeros(n)
-        return LcpSolution(z, q.copy(), 0.0, "lemke", 0)
+        return _trusted(LcpSolution, np.zeros(n), q.copy(), 0.0, "lemke", 0)
 
     max_pivots = MAX_PIVOTS_PER_DIM_SQUARED * n * n
 
@@ -151,8 +151,11 @@ def lemke_solve(problem: LcpProblem) -> LcpSolution:
             r = rows[0] if len(rows) == 1 else _lex_argmin(C, tied, col, row_of, slot_of, n)
 
     z = np.zeros(n)
-    for row, var in enumerate(basis):
-        if n <= var < 2 * n:
-            z[var - n] = C[row, rhs] * q_scale / scale
-    w = assemble_w(problem, z)
-    return LcpSolution(z, w, float(z @ w), "lemke", pivots)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
+        for row, var in enumerate(basis):
+            if n <= var < 2 * n:
+                z[var - n] = C[row, rhs] * q_scale / scale
+        w = _w(problem, z)
+    if not (np.isfinite(z).all() and np.isfinite(w).all()):
+        raise NumericalBreakdown(f"the solution overflows after {pivots} pivots")
+    return _trusted(LcpSolution, z, w, float(z @ w), "lemke", pivots)

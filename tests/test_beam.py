@@ -269,3 +269,39 @@ def test_thousand_stabilizer_beam_builds_and_solves_within_a_second(paper_beam):
     sol = solve_structured(to_contact_lcp(paper_beam(1000, 2e7)))
     assert time.perf_counter() - start < 1.0
     assert sol.F_l.any() and sol.F_u.any()
+
+
+def _s_beam(n: int, ei: float) -> BeamConfig:
+    """Evenly spaced stops and one load in each quarter of the span, alternating in sign."""
+    stabilizers = [(10.0 * (i + 1) / (n + 1), 0.05) for i in range(n)]
+    loads = [(x, m * ei) for x, m in ((1.3, 4.2), (3.6, -3.7), (6.2, 4.5), (8.8, -3.1))]
+    return BeamConfig(10.0, ei, stabilizers, loads)
+
+
+#: Linear solves of solve_structured, Lemke's pivots and the sign of d (+, -, 0 per
+#: stabilizer) on each beam; they are the same at every unit scale.
+_PINNED = {
+    ("s", 10): (7, 12, "--0+0--0++"),
+    ("s", 28): (13, 12, "00--00000++000000-000000++00"),
+    ("s", 80): (
+        28, 27, "0" * 9 + "--" + "0" * 17 + "++" + "0" * 19 + "--" + "0" * 19 + "++" + "0" * 8
+    ),
+    ("paper", 10): (8, 19, "0--0++0--0"),
+    ("paper", 40): (16, 59, "0" * 9 + "--" + "0" * 8 + "++" + "0" * 8 + "--" + "0" * 9),
+    ("paper", 80): (18, 111, "0" * 19 + "--" + "0" * 18 + "++" + "0" * 18 + "--" + "0" * 19),
+}
+
+
+@pytest.mark.parametrize(("layout", "n"), list(_PINNED))
+@pytest.mark.parametrize("ei", [1.0, 2e7, 2e11])
+def test_solve_counts_and_contact_patterns_are_pinned(paper_beam, layout, n, ei):
+    solves, pivots, pattern = _PINNED[layout, n]
+    c = to_contact_lcp((_s_beam if layout == "s" else paper_beam)(n, ei))
+    sol = solve_structured(c)
+    pivot = lemke_solve(assemble(c))
+
+    def signs(d):
+        return "".join("+" if v > 0.0 else "-" if v < 0.0 else "0" for v in d.tolist())
+
+    assert (sol.sweeps, signs(sol.d)) == (solves, pattern)
+    assert (pivot.iterations, signs(pivot.z[:n] - pivot.z[n:])) == (pivots, pattern)

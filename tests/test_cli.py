@@ -303,6 +303,50 @@ def test_an_overflowing_cascade_stage_is_a_solver_failure(tmp_path, capsys):
     assert main(["solve", "--input", str(path), "--solver", "lemke"]) == 3
 
 
+#: A valid contact file whose answer d = 1e300 / 1e-300 overflows.
+OVERFLOWING_CONTACT = {"kind": "contact", "payload": {"K": [[1e-300]], "q_tilde": [-1e300],
+                                                      "y_star": [1.0]}}
+
+
+@pytest.mark.parametrize(
+    ("solver", "message"),
+    [
+        ("pgs", "error: the net forces overflow in 1 solves\n"),
+        ("lemke", "error: the solution overflows after 2 pivots\n"),
+    ],
+    ids=["pgs", "lemke"],
+)
+def test_an_overflowing_answer_is_a_solver_failure(tmp_path, capsys, solver, message):
+    path = write_raw(tmp_path, "p.json", OVERFLOWING_CONTACT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--input", str(path), "--solver", solver]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+@pytest.mark.parametrize(
+    ("kind", "solver", "factors"),
+    [
+        ("beam", "pgs", 1),
+        ("beam", "lemke", 1),
+        ("contact", "pgs", 1),
+        ("contact", "lemke", 1),
+        ("cascade", "cascade", 3),
+        ("cascade", "lemke", 3),
+    ],
+)
+def test_each_request_factors_each_matrix_once(tmp_path, monkeypatch, kind, solver, factors):
+    path = write_problem(tmp_path, kind, "p.json", n=4, t=3, seed=2)
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+    with redirect_stdout(io.StringIO()):
+        assert main(["solve", "--input", str(path), "--solver", solver]) == 0
+    assert len(calls) == factors
+
+
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == 1
 
